@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 data/format error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -32,7 +33,7 @@ from .mining import (
     save_mining_report,
     thresholds_from_quantiles,
 )
-from .pipeline import config_from_mapping, load_config, run_pipeline
+from .pipeline import PipelineConfig, config_from_mapping, load_config, run_pipeline
 from .rerank import AqeParams, RerankParams, aqe_expand, ensemble_distances, k_reciprocal_rerank
 from .synthetic import SynthParams, generate_synthetic, split_query_gallery
 
@@ -326,15 +327,9 @@ def _add_pipeline(sub):
                    action="store_const", const="true", default=None)
     p.add_argument("--topk", dest="topk", default=None)
     p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--seed", dest="seed", default=None)
 
 
-_PIPELINE_KEYS = [
-    "query_features", "gallery_features", "query_meta", "gallery_meta",
-    "query_flipped", "gallery_flipped", "tta", "aqe", "rerank", "ensemble",
-    "normalize_ensemble", "metric", "k1", "k2", "lam", "aqe_k", "aqe_alpha",
-    "aqe_stage", "exclude_same_camera", "topk", "out_dir", "seed",
-]
+_PIPELINE_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)]
 
 
 def _cmd_pipeline(args):

@@ -37,23 +37,27 @@ def l2_normalize(m: np.ndarray) -> np.ndarray:
     return (x / safe).astype(np.float32)
 
 
-def euclidean_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, entry (i, j) = ||q_i - g_j||.
+def euclidean_distances64(q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Float64 distance kernel, entry (i, j) = ||q_i - g_j||; no input checks.
 
-    Uses the ||q||^2 + ||g||^2 - 2 q.g expansion with a clamp at zero to
-    absorb negative rounding residue before the square root.
+    Takes float64 (n, d) and (m, d) arrays.  Uses the
+    ||q||^2 + ||g||^2 - 2 q.g expansion with a clamp at zero to absorb
+    negative rounding residue before the square root.  Retrieval, the
+    triplet loss and mining all take their Euclidean distances from here.
     """
+    d = np.sum(q * q, axis=1)[:, None] + np.sum(g * g, axis=1)[None, :]
+    d -= 2.0 * (q @ g.T)
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
+
+
+def euclidean_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances ||q_i - g_j||, rounded to float32."""
     q = _as_2d(q, "query features")
     g = _as_2d(g, "gallery features")
     if q.shape[1] != g.shape[1]:
         raise ShapeError(f"dimension mismatch: query d={q.shape[1]}, gallery d={g.shape[1]}")
-    q64 = q.astype(np.float64)
-    g64 = g.astype(np.float64)
-    sq = np.sum(q64 * q64, axis=1)[:, None]
-    sg = np.sum(g64 * g64, axis=1)[None, :]
-    d2 = sq + sg - 2.0 * (q64 @ g64.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2).astype(np.float32)
+    return euclidean_distances64(q.astype(np.float64), g.astype(np.float64)).astype(np.float32)
 
 
 def cosine_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:

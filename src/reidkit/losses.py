@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BatchError, ConfigError
+from .geometry import euclidean_distances64
 
 _EXP_CLIP = 700.0  # exp overflow guard for the log-domain path
 
@@ -57,31 +58,35 @@ def _validate_batch(embeddings, labels):
     return x, labels
 
 
-def _pairwise_euclidean(x):
-    diff = x[:, None, :] - x[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+def batch_hard(dist, labels, start=0):
+    """Hardest positive and nearest negative of a block of anchors.
 
-
-def _batch_hard(dist, labels):
-    """Hardest positive/negative per anchor; first index wins on ties."""
-    n = dist.shape[0]
-    same = labels[:, None] == labels[None, :]
-    pos_mask = same & ~np.eye(n, dtype=bool)
-    neg_mask = ~same
-
-    missing_pos = ~pos_mask.any(axis=1)
-    if missing_pos.any():
-        bad = labels[np.flatnonzero(missing_pos)[0]]
-        raise BatchError(f"label {bad} has no positive pair in the batch")
-    missing_neg = ~neg_mask.any(axis=1)
-    if missing_neg.any():
-        bad = labels[np.flatnonzero(missing_neg)[0]]
-        raise BatchError(f"label {bad} has no negative in the batch")
-
+    ``dist`` holds the rows of anchors ``start, start+1, ...`` against all
+    samples, whose labels are ``labels``; an anchor's own column is not a
+    positive.  The lowest index wins ties.  Returns ``(d_pos, d_neg,
+    pos_idx, neg_idx, has_pos, has_neg)``; where ``has_pos`` (``has_neg``)
+    is False the anchor has no positive (negative) and the matching value
+    and index are meaningless.
+    """
+    rows = np.arange(dist.shape[0])
+    pos_mask = labels[start:start + rows.size, None] == labels[None, :]
+    neg_mask = ~pos_mask
+    pos_mask[rows, start + rows] = False
     pos_idx = np.argmax(np.where(pos_mask, dist, -np.inf), axis=1)
     neg_idx = np.argmin(np.where(neg_mask, dist, np.inf), axis=1)
-    rows = np.arange(n)
-    return dist[rows, pos_idx], dist[rows, neg_idx], pos_idx, neg_idx
+    return (dist[rows, pos_idx], dist[rows, neg_idx], pos_idx, neg_idx,
+            pos_mask.any(axis=1), neg_mask.any(axis=1))
+
+
+def _batch_hard_or_raise(x, labels):
+    """:func:`batch_hard` over a whole batch; BatchError names a lacking label."""
+    d_pos, d_neg, pos_idx, neg_idx, has_pos, has_neg = batch_hard(
+        euclidean_distances64(x, x), labels)
+    for found, what in ((has_pos, "positive pair"), (has_neg, "negative")):
+        if not found.all():
+            bad = labels[np.argmin(found)]
+            raise BatchError(f"label {bad} has no {what} in the batch")
+    return d_pos, d_neg, pos_idx, neg_idx
 
 
 def triplet_loss_batch_hard(embeddings, labels, params: TripletParams = TripletParams()):
@@ -97,8 +102,7 @@ def triplet_loss_batch_hard(embeddings, labels, params: TripletParams = TripletP
     if params.margin < 0:
         raise ConfigError(f"margin must be >= 0, got {params.margin}")
     x, labels = _validate_batch(embeddings, labels)
-    dist = _pairwise_euclidean(x)
-    d_pos, d_neg, _, _ = _batch_hard(dist, labels)
+    d_pos, d_neg, _, _ = _batch_hard_or_raise(x, labels)
     per_anchor = np.maximum(d_pos - d_neg + params.margin, 0.0)
     return float(per_anchor.mean()), per_anchor
 
@@ -172,8 +176,7 @@ def combined_loss(embeddings, labels, params: CombinedParams = CombinedParams())
 
 def _triplet_gradient(x, labels, params):
     n = x.shape[0]
-    dist = _pairwise_euclidean(x)
-    d_pos, d_neg, pos_idx, neg_idx = _batch_hard(dist, labels)
+    d_pos, d_neg, pos_idx, neg_idx = _batch_hard_or_raise(x, labels)
     active = (d_pos - d_neg + params.margin) > 0.0
     grad = np.zeros_like(x)
     scale = 1.0 / n

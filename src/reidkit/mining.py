@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IoError
-from .losses import TripletParams
+from .geometry import euclidean_distances64
+from .losses import TripletParams, batch_hard
 from .tensorio import MetaTable
 
 _BLOCK_ROWS = 1024  # anchors per distance block; keeps memory flat at scale
@@ -66,26 +67,16 @@ def per_sample_losses(features, meta: MetaTable, params: TripletParams = Triplet
     if len(meta) != n:
         raise ConfigError(f"metadata length {len(meta)} does not match {n} features")
     labels = meta.person_ids
-    sq = np.sum(x * x, axis=1)
 
     losses = np.zeros(n, dtype=np.float64)
     degenerate = 0
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
-        d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (x[start:stop] @ x.T)
-        np.maximum(d2, 0.0, out=d2)
-        dist = np.sqrt(d2)
-        for a in range(start, stop):
-            row = dist[a - start]
-            same = labels == labels[a]
-            same[a] = False
-            diff = labels != labels[a]
-            if not same.any() or not diff.any():
-                degenerate += 1
-                continue
-            d_pos = row[same].max()
-            d_neg = row[diff].min()
-            losses[a] = max(d_pos - d_neg + params.margin, 0.0)
+        d_pos, d_neg, _, _, has_pos, has_neg = batch_hard(
+            euclidean_distances64(x[start:stop], x), labels, start)
+        ok = has_pos & has_neg
+        losses[start:stop] = np.where(ok, np.maximum(d_pos - d_neg + params.margin, 0.0), 0.0)
+        degenerate += int(np.count_nonzero(~ok))
     if degenerate:
         warnings.warn(
             f"{degenerate} sample(s) lack a positive or negative pair; assigned loss 0",

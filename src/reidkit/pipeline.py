@@ -14,13 +14,11 @@ file values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import tensorio
-from .errors import ConfigError, ReidkitError
+from .errors import ConfigError, IoError, ReidkitError
 from .evaluation import (
     EvalReport,
     ablation_table,
@@ -61,15 +59,11 @@ class PipelineConfig:
     exclude_same_camera: bool = False
     topk: int = 50
     out_dir: str = "."
-    seed: int = 0
 
 
 _FIELD_TYPES = {
-    "tta": bool, "aqe": bool, "rerank": bool, "normalize_ensemble": bool,
-    "exclude_same_camera": bool,
-    "k1": int, "k2": int, "aqe_k": int, "topk": int, "seed": int,
-    "lam": float, "aqe_alpha": float,
-    "ensemble": list,
+    f.name: type(f.default_factory() if f.default is MISSING else f.default)
+    for f in fields(PipelineConfig)
 }
 
 
@@ -93,14 +87,13 @@ def load_config(path) -> dict:
 
 def config_from_mapping(values: dict) -> PipelineConfig:
     """Build a PipelineConfig from string values, with type coercion."""
-    cfg = PipelineConfig()
     updates = {}
     for key, value in values.items():
         if value is None:
             continue
-        if not hasattr(cfg, key):
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        kind = _FIELD_TYPES.get(key, str)
+        kind = _FIELD_TYPES[key]
         if kind is bool:
             if isinstance(value, bool):
                 updates[key] = value
@@ -119,7 +112,7 @@ def config_from_mapping(values: dict) -> PipelineConfig:
                 updates[key] = kind(value)
             except ValueError:
                 raise ConfigError(f"config key {key!r}: expected {kind.__name__}, got {value!r}") from None
-    cfg = replace(cfg, **updates)
+    cfg = PipelineConfig(**updates)
     if cfg.aqe_stage not in ("pre", "post"):
         raise ConfigError(f"aqe_stage must be 'pre' or 'post', got {cfg.aqe_stage!r}")
     if cfg.metric not in ("euclidean", "cosine"):
@@ -214,5 +207,5 @@ def run_pipeline(cfg: PipelineConfig):
     try:
         (out / "ablation.txt").write_text(ablation_table(rows) + "\n", encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot write ablation table: {exc}") from exc
+        raise IoError(f"cannot write ablation table: {exc}") from exc
     return report, rows

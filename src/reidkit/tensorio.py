@@ -26,6 +26,7 @@ from .errors import DataError, FormatError, IoError
 
 FVEC_MAGIC = b"RDF1"
 DMAT_MAGIC = b"RDM1"
+_KINDS = {FVEC_MAGIC: "feature matrix", DMAT_MAGIC: "distance matrix"}
 
 _HEADER = struct.Struct("<4sII")
 
@@ -91,27 +92,26 @@ class MetaTable:
         return MetaTable([self.entries[i] for i in indices])
 
 
-def _check_features(m: np.ndarray) -> np.ndarray:
+def _validate(m, magic, source=None) -> np.ndarray:
+    """Check a matrix against its format and return it as contiguous float32.
+
+    Both formats need a non-empty 2-D matrix of finite values; ``.dmat``
+    also needs non-negative ones.  ``source`` (a file path) prefixes the
+    messages of the loaders.
+    """
+    kind = _KINDS[magic]
+    where = f"{source}: " if source is not None else ""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DataError(f"feature matrix must be 2-D and non-empty, got shape {m.shape}")
+        raise DataError(f"{where}{kind} must be 2-D and non-empty, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise DataError("feature matrix contains NaN or Inf")
+        raise DataError(f"{where}{kind} contains NaN or Inf")
+    if magic == DMAT_MAGIC and np.any(m < 0):
+        raise DataError(f"{where}{kind} contains negative entries")
     return np.ascontiguousarray(m, dtype=np.float32)
 
 
-def _check_distances(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DataError(f"distance matrix must be 2-D and non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DataError("distance matrix contains NaN or Inf")
-    if np.any(m < 0):
-        raise DataError("distance matrix contains negative entries")
-    return np.ascontiguousarray(m, dtype=np.float32)
-
-
-def _load_binary(path, magic, kind):
+def _load_binary(path, magic):
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -128,13 +128,11 @@ def _load_binary(path, magic, kind):
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, header declares {expected}"
         )
-    if n < 1 or d < 1:
-        raise DataError(f"{path}: header declares empty {kind} ({n}x{d})")
-    data = np.frombuffer(payload, dtype="<f4").reshape(n, d)
-    return np.ascontiguousarray(data)
+    return _validate(np.frombuffer(payload, dtype="<f4").reshape(n, d), magic, path)
 
 
 def _save_binary(m, path, magic):
+    m = _validate(m, magic)
     path = Path(path)
     header = _HEADER.pack(magic, m.shape[0], m.shape[1])
     payload = np.ascontiguousarray(m, dtype="<f4").tobytes()
@@ -146,10 +144,7 @@ def _save_binary(m, path, magic):
 
 def load_features(path) -> np.ndarray:
     """Load an ``.fvec`` file into an (n, d) float32 array."""
-    m = _load_binary(path, FVEC_MAGIC, "feature matrix")
-    if not np.all(np.isfinite(m)):
-        raise DataError(f"{path}: feature payload contains NaN or Inf")
-    return m
+    return _load_binary(path, FVEC_MAGIC)
 
 
 def save_features(m: np.ndarray, path) -> None:
@@ -157,23 +152,16 @@ def save_features(m: np.ndarray, path) -> None:
 
     The matrix is validated first, so nothing is written on invalid input.
     """
-    m = _check_features(m)
     _save_binary(m, path, FVEC_MAGIC)
 
 
 def load_distances(path) -> np.ndarray:
     """Load a ``.dmat`` file into an (n_query, n_gallery) float32 array."""
-    m = _load_binary(path, DMAT_MAGIC, "distance matrix")
-    if not np.all(np.isfinite(m)):
-        raise DataError(f"{path}: distance payload contains NaN or Inf")
-    if np.any(m < 0):
-        raise DataError(f"{path}: distance payload contains negative entries")
-    return m
+    return _load_binary(path, DMAT_MAGIC)
 
 
 def save_distances(m: np.ndarray, path) -> None:
     """Write an (n_query, n_gallery) float32 array as a ``.dmat`` file."""
-    m = _check_distances(m)
     _save_binary(m, path, DMAT_MAGIC)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,17 @@ def test_circle_gradient_zero_norm_row_is_zero():
     grad = loss_gradient(x, labels, CombinedParams(w_triplet=0.0, w_circle=1.0))
     assert np.array_equal(grad[0], [0.0, 0.0])
     assert np.all(np.isfinite(grad))
+
+
+def test_triplet_loss_and_gradient_peak_memory_is_quadratic_not_cubic():
+    # 256 x 512: an n x n x d difference tensor would need 512 MiB, the
+    # n x n distance matrix needs 0.5 MiB
+    x, labels = _random_batch(np.random.default_rng(29), n_ids=64, per_id=4, d=512)
+    for fn in (triplet_loss_batch_hard, loss_gradient):
+        tracemalloc.start()
+        try:
+            fn(x, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"{fn.__name__} peaked at {peak / 2**20:.1f} MiB"

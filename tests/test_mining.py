@@ -14,6 +14,7 @@ from reidkit import (
     per_sample_losses,
     save_mining_report,
     thresholds_from_quantiles,
+    triplet_loss_batch_hard,
 )
 
 
@@ -29,6 +30,14 @@ def test_per_sample_losses_match_naive():
         losses = per_sample_losses(x, _meta(labels))
         _, ref = naive_triplet(x, labels, 0.4)
         assert np.allclose(losses, ref, atol=1e-9)
+    # integer grid: many exactly tied distances; mining and the triplet
+    # loss share one batch-hard selector, so their hinges agree exactly
+    x = np.array([[i % 4, i // 4] for i in range(12)], dtype=np.float64)
+    labels = np.arange(12) % 3
+    losses = per_sample_losses(x, _meta(labels))
+    _, per_anchor = triplet_loss_batch_hard(x, labels)
+    assert np.array_equal(losses, per_anchor)
+    assert np.allclose(losses, naive_triplet(x, labels, 0.4)[1], atol=1e-9)
 
 
 def test_per_sample_losses_known_values():

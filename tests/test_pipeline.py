@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from reidkit import (
     ConfigError,
     FormatError,
+    IoError,
     PipelineConfig,
     SynthParams,
     config_from_mapping,
@@ -22,7 +25,7 @@ from reidkit import (
     save_meta,
     split_query_gallery,
 )
-from reidkit.cli import main
+from reidkit.cli import build_parser, main
 from reidkit.rerank import RerankParams
 
 
@@ -108,6 +111,14 @@ def test_config_from_mapping_rejects_bad_values():
         config_from_mapping({"metric": "manhattan"})
     with pytest.raises(ConfigError):
         config_from_mapping({"aqe_stage": "during"})
+
+
+def test_every_config_key_is_a_pipeline_flag():
+    flags = vars(build_parser().parse_args(["pipeline"]))
+    keys = [f.name for f in dataclasses.fields(PipelineConfig)]
+    assert [k for k in keys if k not in flags] == []
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_mapping({"seed": "1"})
 
 
 def test_pipeline_baseline_equals_plain_retrieval(dataset):
@@ -214,6 +225,19 @@ def test_pipeline_missing_inputs_and_stage_labels(dataset):
     cfg2.query_features = str(broken)
     with pytest.raises(FormatError, match=r"\[stage load\]"):
         run_pipeline(cfg2)
+
+
+def test_pipeline_ablation_write_failure_is_io_error(dataset, capsys):
+    tmp_path, paths, _ = dataset
+    cfg = _base_config(paths, tmp_path)
+    (tmp_path / "out" / "ablation.txt").mkdir(parents=True)
+    with pytest.raises(IoError, match="ablation"):
+        run_pipeline(cfg)
+    args = ["pipeline", "--out-dir", cfg.out_dir]
+    for key, path in paths.items():
+        args += ["--" + key.replace("_", "-"), str(path)]
+    assert main(args) == 3
+    capsys.readouterr()
 
 
 def test_pipeline_is_deterministic(dataset):

@@ -94,7 +94,7 @@ def test_non_finite_payload_rejected(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[12:16] = struct.pack("<f", np.inf)
     path.write_bytes(bytes(blob))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="inf.fvec"):
         load_features(path)
 
 
@@ -106,7 +106,7 @@ def test_negative_distances_rejected(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[12:16] = struct.pack("<f", -1.0)
     path.write_bytes(bytes(blob))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="n2.dmat"):
         load_distances(path)
 
 
@@ -115,7 +115,7 @@ def test_empty_shapes_rejected(tmp_path):
         save_features(np.zeros((0, 4), dtype=np.float32), tmp_path / "e.fvec")
     path = tmp_path / "e2.fvec"
     path.write_bytes(struct.pack("<4sII", b"RDF1", 0, 4))
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="e2.fvec"):
         load_features(path)
 
 
