@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from enum import Enum
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from . import augment as aug
 from . import tensorio
 from .errors import ConfigError, ReidkitError
 from .evaluation import evaluate, rank_gallery, save_cmc_csv, save_report
-from .geometry import cosine_distances, euclidean_distances, l2_normalize
+from .geometry import DISTANCES, l2_normalize
 from .losses import (
     CircleParams,
     CombinedParams,
@@ -37,15 +38,46 @@ from .pipeline import PipelineConfig, config_from_mapping, load_config, run_pipe
 from .rerank import AqeParams, RerankParams, aqe_expand, ensemble_distances, k_reciprocal_rerank
 from .synthetic import SynthParams, generate_synthetic, split_query_gallery
 
+# Fields whose flag is not named after the field.
+_FLAG_NAMES = {"cluster_spread": "--spread", "lam": "--lambda"}
+
+
+def _add_params(p, cls):
+    """Add one ``--field-name`` flag per field of the params dataclass ``cls``.
+
+    The flag's type comes from the field's default: a bool is a switch, a
+    list is repeatable and an Enum takes its member values.  Every flag
+    defaults to None, so an absent flag leaves the value to the dataclass
+    (or, for ``pipeline``, to the config file).  Fields holding a nested
+    params dataclass get no flag; their own fields do.
+    """
+    for f in dataclasses.fields(cls):
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        if dataclasses.is_dataclass(default):
+            continue
+        kind = type(default)
+        if kind is bool:
+            kwargs = {"action": "store_const", "const": True}
+        elif kind is list:
+            kwargs = {"action": "append"}
+        elif issubclass(kind, Enum):
+            metavar = "{" + ",".join(m.value for m in kind) + "}"
+            kwargs = {"type": kind, "choices": list(kind), "metavar": metavar}
+        else:
+            kwargs = {"type": kind, "choices": f.metadata.get("choices")}
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        p.add_argument(flag, dest=f.name, default=None, help=f.metadata.get("help"), **kwargs)
+
+
+def _given(cls, args) -> dict:
+    """The fields of ``cls`` whose flags were given on the command line."""
+    values = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(cls)}
+    return {name: value for name, value in values.items() if value is not None}
+
 
 def _add_synth(sub):
     p = sub.add_parser("synth", help="generate a seeded synthetic embedding dataset")
-    p.add_argument("--n-ids", type=int, default=50)
-    p.add_argument("--per-id", type=int, default=20)
-    p.add_argument("--dims", type=int, default=32)
-    p.add_argument("--spread", type=float, default=0.3)
-    p.add_argument("--noise-frac", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    _add_params(p, SynthParams)
     p.add_argument("--out-prefix", required=True, help="writes PREFIX.fvec and PREFIX.csv")
     p.add_argument(
         "--query-per-id", type=int, default=None,
@@ -54,11 +86,7 @@ def _add_synth(sub):
 
 
 def _cmd_synth(args):
-    params = SynthParams(
-        n_ids=args.n_ids, per_id=args.per_id, dims=args.dims,
-        cluster_spread=args.spread, noise_frac=args.noise_frac, seed=args.seed,
-    )
-    features, meta = generate_synthetic(params)
+    features, meta = generate_synthetic(SynthParams(**_given(SynthParams, args)))
     tensorio.save_features(features, f"{args.out_prefix}.fvec")
     tensorio.save_meta(meta, f"{args.out_prefix}.csv")
     print(f"wrote {args.out_prefix}.fvec ({features.shape[0]}x{features.shape[1]}) and {args.out_prefix}.csv")
@@ -75,7 +103,7 @@ def _add_distances(sub):
     p = sub.add_parser("distances", help="pairwise query x gallery distance matrix")
     p.add_argument("--query", required=True)
     p.add_argument("--gallery", required=True)
-    p.add_argument("--metric", choices=["euclidean", "cosine"], default="euclidean")
+    p.add_argument("--metric", choices=list(DISTANCES), default="euclidean")
     p.add_argument("--l2-normalize", action="store_true", help="normalize rows first")
     p.add_argument("--out", required=True)
 
@@ -85,7 +113,7 @@ def _cmd_distances(args):
     g = tensorio.load_features(args.gallery)
     if args.l2_normalize:
         q, g = l2_normalize(q), l2_normalize(g)
-    dist = cosine_distances(q, g) if args.metric == "cosine" else euclidean_distances(q, g)
+    dist = DISTANCES[args.metric](q, g)
     tensorio.save_distances(dist, args.out)
     print(f"wrote {args.out} ({dist.shape[0]}x{dist.shape[1]})")
     return 0
@@ -95,9 +123,7 @@ def _add_rerank(sub):
     p = sub.add_parser("rerank", help="k-reciprocal re-ranking of query x gallery distances")
     p.add_argument("--query", required=True)
     p.add_argument("--gallery", required=True)
-    p.add_argument("--k1", type=int, default=20)
-    p.add_argument("--k2", type=int, default=6)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
+    _add_params(p, RerankParams)
     p.add_argument("--l2-normalize", action="store_true", help="normalize rows first")
     p.add_argument("--out", required=True)
 
@@ -107,7 +133,7 @@ def _cmd_rerank(args):
     g = tensorio.load_features(args.gallery)
     if args.l2_normalize:
         q, g = l2_normalize(q), l2_normalize(g)
-    dist = k_reciprocal_rerank(q, g, RerankParams(k1=args.k1, k2=args.k2, lam=args.lam))
+    dist = k_reciprocal_rerank(q, g, RerankParams(**_given(RerankParams, args)))
     tensorio.save_distances(dist, args.out)
     print(f"wrote {args.out} ({dist.shape[0]}x{dist.shape[1]})")
     return 0
@@ -117,15 +143,14 @@ def _add_aqe(sub):
     p = sub.add_parser("aqe", help="alpha-weighted query expansion")
     p.add_argument("--query", required=True)
     p.add_argument("--gallery", required=True)
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--alpha", type=float, default=3.0)
+    _add_params(p, AqeParams)
     p.add_argument("--out", required=True, help="expanded query features (.fvec)")
 
 
 def _cmd_aqe(args):
     q = tensorio.load_features(args.query)
     g = tensorio.load_features(args.gallery)
-    expanded = aqe_expand(q, g, AqeParams(k=args.k, alpha=args.alpha))
+    expanded = aqe_expand(q, g, AqeParams(**_given(AqeParams, args)))
     tensorio.save_features(expanded, args.out)
     print(f"wrote {args.out} ({expanded.shape[0]}x{expanded.shape[1]})")
     return 0
@@ -178,7 +203,7 @@ def _add_mine(sub):
     p = sub.add_parser("mine", help="loss-based clean/hard/noise partition")
     p.add_argument("--features", required=True)
     p.add_argument("--meta", required=True)
-    p.add_argument("--margin", type=float, default=0.4)
+    _add_params(p, TripletParams)
     p.add_argument("--q-hard", type=float, default=0.7)
     p.add_argument("--q-noise", type=float, default=0.97)
     p.add_argument("--t-hard", type=float, default=None, help="explicit threshold (overrides quantiles)")
@@ -197,7 +222,7 @@ def _cmd_mine(args):
             )
     else:
         features = tensorio.load_features(args.features)
-        losses = per_sample_losses(features, meta, TripletParams(margin=args.margin))
+        losses = per_sample_losses(features, meta, TripletParams(**_given(TripletParams, args)))
     if (args.t_hard is None) != (args.t_noise is None):
         raise ConfigError("provide both --t-hard and --t-noise, or neither")
     if args.t_hard is not None:
@@ -221,21 +246,7 @@ def _add_augment(sub):
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--probability", type=float, default=None)
-    p.add_argument("--area-low", type=float, default=None)
-    p.add_argument("--area-high", type=float, default=None)
-    p.add_argument("--aspect-low", type=float, default=None)
-    p.add_argument("--aspect-high", type=float, default=None)
-    p.add_argument("--fill", choices=[m.value for m in aug.FillMode], default=None)
-
-
-def _region_kwargs(args):
-    kwargs = {}
-    for key in ("probability", "area_low", "area_high", "aspect_low", "aspect_high"):
-        value = getattr(args, key)
-        if value is not None:
-            kwargs[key] = value
-    return kwargs
+    _add_params(p, aug.EraseParams)  # LgtParams' fields are a subset
 
 
 def _cmd_augment(args):
@@ -246,12 +257,9 @@ def _cmd_augment(args):
         print(f"wrote {args.out}")
         return 0
     if args.op == "erase":
-        kwargs = _region_kwargs(args)
-        if args.fill is not None:
-            kwargs["fill"] = aug.FillMode(args.fill)
-        out, rect = aug.random_erase(img, aug.EraseParams(**kwargs), rng)
+        out, rect = aug.random_erase(img, aug.EraseParams(**_given(aug.EraseParams, args)), rng)
     else:
-        out, rect = aug.local_grayscale(img, aug.LgtParams(**_region_kwargs(args)), rng)
+        out, rect = aug.local_grayscale(img, aug.LgtParams(**_given(aug.LgtParams, args)), rng)
     aug.save_ppm(out, args.out)
     where = f"rect(top={rect.top}, left={rect.left}, h={rect.height}, w={rect.width})" if rect else "no-op"
     print(f"wrote {args.out} ({where})")
@@ -262,11 +270,8 @@ def _add_loss_check(sub):
     p = sub.add_parser("loss-check", help="loss values (and gradient check) for a feature set")
     p.add_argument("--features", required=True)
     p.add_argument("--meta", required=True)
-    p.add_argument("--margin", type=float, default=0.4)
-    p.add_argument("--m", type=float, default=0.4)
-    p.add_argument("--gamma", type=float, default=64.0)
-    p.add_argument("--w-triplet", type=float, default=1.0)
-    p.add_argument("--w-circle", type=float, default=1.0)
+    for cls in (TripletParams, CircleParams, CombinedParams):
+        _add_params(p, cls)
     p.add_argument("--grad-check", action="store_true",
                    help="compare the analytic gradient against central finite differences")
 
@@ -275,9 +280,9 @@ def _cmd_loss_check(args):
     features = tensorio.load_features(args.features)
     labels = tensorio.load_meta(args.meta).person_ids
     params = CombinedParams(
-        w_triplet=args.w_triplet, w_circle=args.w_circle,
-        triplet=TripletParams(margin=args.margin),
-        circle=CircleParams(m=args.m, gamma=args.gamma),
+        **_given(CombinedParams, args),
+        triplet=TripletParams(**_given(TripletParams, args)),
+        circle=CircleParams(**_given(CircleParams, args)),
     )
     loss_t, _ = triplet_loss_batch_hard(features, labels, params.triplet)
     loss_c = circle_loss(features, labels, params.circle)
@@ -303,41 +308,12 @@ def _cmd_loss_check(args):
 def _add_pipeline(sub):
     p = sub.add_parser("pipeline", help="full retrieval pipeline with ablation report")
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--query-features", dest="query_features", default=None)
-    p.add_argument("--gallery-features", dest="gallery_features", default=None)
-    p.add_argument("--query-meta", dest="query_meta", default=None)
-    p.add_argument("--gallery-meta", dest="gallery_meta", default=None)
-    p.add_argument("--query-flipped", dest="query_flipped", default=None)
-    p.add_argument("--gallery-flipped", dest="gallery_flipped", default=None)
-    p.add_argument("--tta", dest="tta", action="store_const", const="true", default=None)
-    p.add_argument("--aqe", dest="aqe", action="store_const", const="true", default=None)
-    p.add_argument("--rerank", dest="rerank", action="store_const", const="true", default=None)
-    p.add_argument("--ensemble", dest="ensemble", action="append", default=None,
-                   help=".dmat file to add to the final matrix (repeatable)")
-    p.add_argument("--normalize-ensemble", dest="normalize_ensemble",
-                   action="store_const", const="true", default=None)
-    p.add_argument("--metric", dest="metric", choices=["euclidean", "cosine"], default=None)
-    p.add_argument("--k1", dest="k1", default=None)
-    p.add_argument("--k2", dest="k2", default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
-    p.add_argument("--aqe-k", dest="aqe_k", default=None)
-    p.add_argument("--aqe-alpha", dest="aqe_alpha", default=None)
-    p.add_argument("--aqe-stage", dest="aqe_stage", choices=["pre", "post"], default=None)
-    p.add_argument("--exclude-same-camera", dest="exclude_same_camera",
-                   action="store_const", const="true", default=None)
-    p.add_argument("--topk", dest="topk", default=None)
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-
-
-_PIPELINE_KEYS = [f.name for f in dataclasses.fields(PipelineConfig)]
+    _add_params(p, PipelineConfig)
 
 
 def _cmd_pipeline(args):
     values = load_config(args.config) if args.config else {}
-    for key in _PIPELINE_KEYS:
-        override = getattr(args, key)
-        if override is not None:
-            values[key] = override  # flags win over the file
+    values.update(_given(PipelineConfig, args))  # flags win over the file
     cfg = config_from_mapping(values)
     report, rows = run_pipeline(cfg)
     for name, r in rows:

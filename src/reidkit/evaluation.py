@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EvalError, IoError
+from .errors import ConfigError, DataError, EvalError, IoError
 from .tensorio import MetaTable
 
 
@@ -50,6 +50,7 @@ def evaluate(
     AP per query is the mean of i / r_i over its matches, where r_i is the
     1-based rank of the i-th match in the (possibly camera-filtered) list.
     CMC[k] is the fraction of valid queries with a match in the top k.
+    Raises DataError unless each ranking row is a permutation of range(ng).
     """
     ranking = np.asarray(ranking)
     nq, ng = ranking.shape
@@ -60,6 +61,10 @@ def evaluate(
         )
     if topk < 1:
         raise ConfigError(f"topk must be >= 1, got {topk}")
+    if not np.issubdtype(ranking.dtype, np.integer) or (
+        ranking.size and (ranking.min() < 0 or ranking.max() >= ng)
+    ):
+        raise DataError(f"ranking must hold integer gallery indices in [0, {ng})")
 
     g_pids = gallery_meta.person_ids
     g_cams = gallery_meta.camera_ids
@@ -67,9 +72,15 @@ def evaluate(
     aps = []
     first_match_ranks = []
     skipped = 0
+    seen = np.empty(ng, dtype=bool)
     for i in range(nq):
         q = query_meta[i]
         order = ranking[i]
+        # one O(ng) scatter: an in-range row that marks every slot is a permutation
+        seen[:] = False
+        seen[order] = True
+        if not seen.all():
+            raise DataError(f"ranking row {i} repeats a gallery index, so it is not a permutation")
         match = g_pids[order] == q.person_id
         if exclude_same_camera:
             junk = match & (g_cams[order] == q.camera_id)

@@ -78,6 +78,10 @@ def cosine_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     return d.astype(np.float32)
 
 
+# Query x gallery distance functions by the name the `metric` option takes.
+DISTANCES = {"euclidean": euclidean_distances, "cosine": cosine_distances}
+
+
 def fuse_flip_features(orig: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     """Elementwise mean of the original-image and flipped-image features."""
     orig = _as_2d(orig, "original features")

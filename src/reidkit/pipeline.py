@@ -27,7 +27,7 @@ from .evaluation import (
     save_cmc_csv,
     save_report,
 )
-from .geometry import cosine_distances, euclidean_distances, fuse_flip_features, l2_normalize
+from .geometry import DISTANCES, fuse_flip_features, l2_normalize
 from .rerank import AqeParams, RerankParams, aqe_expand, ensemble_distances, k_reciprocal_rerank
 
 _BOOL_WORDS = {
@@ -47,15 +47,15 @@ class PipelineConfig:
     tta: bool = False
     aqe: bool = False
     rerank: bool = False
-    ensemble: list = field(default_factory=list)
+    ensemble: list = field(default_factory=list, metadata={"help": ".dmat file to add (repeatable)"})
     normalize_ensemble: bool = False
-    metric: str = "euclidean"
-    k1: int = 20
-    k2: int = 6
-    lam: float = 0.1
-    aqe_k: int = 5
-    aqe_alpha: float = 3.0
-    aqe_stage: str = "post"  # "pre" or "post"
+    metric: str = field(default="euclidean", metadata={"choices": tuple(DISTANCES)})
+    k1: int = RerankParams.k1
+    k2: int = RerankParams.k2
+    lam: float = RerankParams.lam
+    aqe_k: int = AqeParams.k
+    aqe_alpha: float = AqeParams.alpha
+    aqe_stage: str = field(default="post", metadata={"choices": ("pre", "post")})
     exclude_same_camera: bool = False
     topk: int = 50
     out_dir: str = "."
@@ -74,6 +74,7 @@ def load_config(path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -81,7 +82,11 @@ def load_config(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already set on line {first_line[key]}")
+        first_line[key] = lineno
+        values[key] = value.strip()
     return values
 
 
@@ -113,10 +118,10 @@ def config_from_mapping(values: dict) -> PipelineConfig:
             except ValueError:
                 raise ConfigError(f"config key {key!r}: expected {kind.__name__}, got {value!r}") from None
     cfg = PipelineConfig(**updates)
-    if cfg.aqe_stage not in ("pre", "post"):
-        raise ConfigError(f"aqe_stage must be 'pre' or 'post', got {cfg.aqe_stage!r}")
-    if cfg.metric not in ("euclidean", "cosine"):
-        raise ConfigError(f"metric must be 'euclidean' or 'cosine', got {cfg.metric!r}")
+    for f in fields(cfg):
+        choices = f.metadata.get("choices")
+        if choices and getattr(cfg, f.name) not in choices:
+            raise ConfigError(f"{f.name} must be one of {choices}, got {getattr(cfg, f.name)!r}")
     return cfg
 
 
@@ -125,12 +130,6 @@ def _stage(name, fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except ReidkitError as exc:
         raise type(exc)(f"[stage {name}] {exc}") from exc
-
-
-def _distances(metric, q, g):
-    if metric == "cosine":
-        return cosine_distances(q, g)
-    return euclidean_distances(q, g)
 
 
 def run_pipeline(cfg: PipelineConfig):
@@ -160,7 +159,7 @@ def run_pipeline(cfg: PipelineConfig):
     rows = []
     qn = _stage("normalize", l2_normalize, q)
     gn = _stage("normalize", l2_normalize, g)
-    dist = _stage("distances", _distances, cfg.metric, qn, gn)
+    dist = _stage("distances", DISTANCES[cfg.metric], qn, gn)
     rows.append(("baseline", score("evaluate", dist)))
 
     if cfg.tta:
@@ -168,7 +167,7 @@ def run_pipeline(cfg: PipelineConfig):
         gf = _stage("load", tensorio.load_features, cfg.gallery_flipped)
         qn = _stage("normalize", l2_normalize, _stage("tta", fuse_flip_features, q, qf))
         gn = _stage("normalize", l2_normalize, _stage("tta", fuse_flip_features, g, gf))
-        dist = _stage("distances", _distances, cfg.metric, qn, gn)
+        dist = _stage("distances", DISTANCES[cfg.metric], qn, gn)
         rows.append(("+tta", score("evaluate", dist)))
 
     rerank_params = RerankParams(k1=cfg.k1, k2=cfg.k2, lam=cfg.lam)
@@ -176,7 +175,7 @@ def run_pipeline(cfg: PipelineConfig):
 
     if cfg.aqe and cfg.aqe_stage == "pre":
         qn = _stage("aqe", aqe_expand, qn, gn, aqe_params)
-        dist = _stage("distances", _distances, cfg.metric, qn, gn)
+        dist = _stage("distances", DISTANCES[cfg.metric], qn, gn)
         rows.append(("+aqe", score("evaluate", dist)))
 
     if cfg.rerank:
@@ -188,7 +187,7 @@ def run_pipeline(cfg: PipelineConfig):
         if cfg.rerank:
             dist = _stage("rerank", k_reciprocal_rerank, qn, gn, rerank_params)
         else:
-            dist = _stage("distances", _distances, cfg.metric, qn, gn)
+            dist = _stage("distances", DISTANCES[cfg.metric], qn, gn)
         rows.append(("+aqe", score("evaluate", dist)))
 
     if cfg.ensemble:

@@ -96,19 +96,22 @@ def _validate(m, magic, source=None) -> np.ndarray:
     """Check a matrix against its format and return it as contiguous float32.
 
     Both formats need a non-empty 2-D matrix of finite values; ``.dmat``
-    also needs non-negative ones.  ``source`` (a file path) prefixes the
-    messages of the loaders.
+    also needs non-negative ones.  The checks apply to the float32 values
+    that get written, so a value that overflows float32 is rejected.
+    ``source`` (a file path) prefixes the messages of the loaders.
     """
     kind = _KINDS[magic]
     where = f"{source}: " if source is not None else ""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DataError(f"{where}{kind} must be 2-D and non-empty, got shape {m.shape}")
+    with np.errstate(over="ignore"):
+        m = np.ascontiguousarray(m, dtype=np.float32)
     if not np.all(np.isfinite(m)):
-        raise DataError(f"{where}{kind} contains NaN or Inf")
+        raise DataError(f"{where}{kind} contains NaN or Inf (as float32)")
     if magic == DMAT_MAGIC and np.any(m < 0):
         raise DataError(f"{where}{kind} contains negative entries")
-    return np.ascontiguousarray(m, dtype=np.float32)
+    return m
 
 
 def _load_binary(path, magic):

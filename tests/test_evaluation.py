@@ -4,6 +4,7 @@ import pytest
 from naive_reference import naive_ap, naive_evaluate
 from reidkit import (
     ConfigError,
+    DataError,
     EvalError,
     MetaTable,
     SampleMeta,
@@ -127,6 +128,22 @@ def test_evaluate_validation():
         evaluate(rank_gallery(d), _meta([1, 2]), _meta([1, 2]))
     with pytest.raises(ConfigError):
         evaluate(rank_gallery(d), _meta([1]), _meta([1, 2]), topk=0)
+
+
+def test_evaluate_rejects_rankings_that_are_not_permutations():
+    qmeta, gmeta = _meta([1, 2]), _meta([1, 2, 3])
+    good = np.array([[0, 1, 2], [2, 1, 0]])
+    assert evaluate(good, qmeta, gmeta).n_valid_queries == 2
+    bad = {
+        "all zeros": np.zeros((2, 3), dtype=np.int64),
+        "duplicate": np.array([[0, 1, 2], [1, 1, 0]]),
+        "too large": np.array([[0, 1, 3], [2, 1, 0]]),
+        "negative": np.array([[0, 1, 2], [-1, 1, 0]]),
+        "not integer": good.astype(np.float64),
+    }
+    for ranking in bad.values():
+        with pytest.raises(DataError):
+            evaluate(ranking, qmeta, gmeta)
 
 
 def test_naive_ap_agrees_with_hand_case():

@@ -73,6 +73,13 @@ def test_load_config_parses_comments_and_whitespace(tmp_path):
     assert values == {"metric": "cosine", "k1": "12", "ensemble": "a.dmat, b.dmat"}
 
 
+def test_load_config_rejects_duplicate_keys(tmp_path):
+    path = tmp_path / "dup.cfg"
+    path.write_text("k1 = 10\nmetric = cosine\n# k1 again\nk1 = 30\n")
+    with pytest.raises(ConfigError, match=r"dup.cfg:4: key 'k1' already set on line 1"):
+        load_config(path)
+
+
 def test_load_config_rejects_malformed_lines(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("metric cosine\n")
@@ -111,6 +118,15 @@ def test_config_from_mapping_rejects_bad_values():
         config_from_mapping({"metric": "manhattan"})
     with pytest.raises(ConfigError):
         config_from_mapping({"aqe_stage": "during"})
+    # the choices come from field metadata; argparse reads the same lists
+    choices = {f.name: f.metadata["choices"]
+               for f in dataclasses.fields(PipelineConfig) if "choices" in f.metadata}
+    assert choices == {"metric": ("euclidean", "cosine"), "aqe_stage": ("pre", "post")}
+    for key, allowed in choices.items():
+        for value in allowed:
+            assert getattr(config_from_mapping({key: value}), key) == value
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping({key: "bogus"})
 
 
 def test_every_config_key_is_a_pipeline_flag():
@@ -281,6 +297,10 @@ def test_cli_exit_codes(dataset, tmp_path, capsys):
     assert main(["rerank", "--query", str(paths["query_features"]),
                  "--gallery", str(paths["gallery_features"]),
                  "--k1", "0", "--out", str(tmp_path / "o.dmat")]) == 2
+    # a malformed number is rejected by argparse -> 2
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--k1", "ten"])
+    assert exc.value.code == 2
     # missing file -> 3
     assert main(["distances", "--query", str(tmp_path / "no.fvec"),
                  "--gallery", str(paths["gallery_features"]),

@@ -98,6 +98,14 @@ def test_non_finite_payload_rejected(tmp_path):
         load_features(path)
 
 
+def test_values_that_overflow_float32_are_rejected_before_writing(tmp_path):
+    m = np.array([[1e39, 1.0]])  # finite as float64, inf once rounded to float32
+    for save, name in ((save_features, "big.fvec"), (save_distances, "big.dmat")):
+        with pytest.raises(DataError, match="NaN or Inf"):
+            save(m, tmp_path / name)
+        assert not (tmp_path / name).exists()
+
+
 def test_negative_distances_rejected(tmp_path):
     with pytest.raises(DataError):
         save_distances(np.array([[0.5, -0.1]], dtype=np.float32), tmp_path / "n.dmat")
