@@ -15,7 +15,7 @@ import numpy as np
 
 from . import augment as aug
 from . import tensorio
-from .errors import ConfigError, ReidkitError
+from .errors import ConfigError, DataError, ReidkitError
 from .evaluation import evaluate, rank_gallery, save_cmc_csv, save_report
 from .geometry import DISTANCES, l2_normalize
 from .losses import (
@@ -34,7 +34,7 @@ from .mining import (
     save_mining_report,
     thresholds_from_quantiles,
 )
-from .pipeline import PipelineConfig, config_from_mapping, load_config, run_pipeline
+from .pipeline import PipelineConfig, config_from_mapping, field_default, load_config, run_pipeline
 from .rerank import AqeParams, RerankParams, aqe_expand, ensemble_distances, k_reciprocal_rerank
 from .synthetic import SynthParams, generate_synthetic, split_query_gallery
 
@@ -52,7 +52,7 @@ def _add_params(p, cls):
     params dataclass get no flag; their own fields do.
     """
     for f in dataclasses.fields(cls):
-        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        default = field_default(f)
         if dataclasses.is_dataclass(default):
             continue
         kind = type(default)
@@ -201,21 +201,28 @@ def _cmd_eval(args):
 
 def _add_mine(sub):
     p = sub.add_parser("mine", help="loss-based clean/hard/noise partition")
-    p.add_argument("--features", required=True)
+    p.add_argument("--features", default=None, help="features to compute the losses from (unless --losses)")
     p.add_argument("--meta", required=True)
     _add_params(p, TripletParams)
-    p.add_argument("--q-hard", type=float, default=0.7)
-    p.add_argument("--q-noise", type=float, default=0.97)
+    p.add_argument("--q-hard", type=float, default=None, help="quantile of the hard threshold")
+    p.add_argument("--q-noise", type=float, default=None, help="quantile of the noise threshold")
     p.add_argument("--t-hard", type=float, default=None, help="explicit threshold (overrides quantiles)")
     p.add_argument("--t-noise", type=float, default=None)
-    p.add_argument("--losses", default=None, help="optional externally computed loss vector (.fvec, one row)")
+    p.add_argument("--losses", default=None, help="externally computed loss vector (.fvec, one row)")
     p.add_argument("--out", required=True, help="report CSV: image_id,loss,class")
 
 
 def _cmd_mine(args):
+    if args.features is None and args.losses is None:
+        raise ConfigError("provide --features or --losses")
+    if (args.t_hard is None) != (args.t_noise is None):
+        raise ConfigError("provide both --t-hard and --t-noise, or neither")
     meta = tensorio.load_meta(args.meta)
-    if args.losses:
-        losses = tensorio.load_features(args.losses).reshape(-1)
+    if args.losses is not None:
+        losses = tensorio.load_features(args.losses)
+        if losses.shape[0] != 1:
+            raise DataError(f"{args.losses}: loss vector must be one row, got shape {losses.shape}")
+        losses = losses[0]
         if losses.shape[0] != len(meta):
             raise ConfigError(
                 f"loss vector length {losses.shape[0]} does not match metadata length {len(meta)}"
@@ -223,12 +230,13 @@ def _cmd_mine(args):
     else:
         features = tensorio.load_features(args.features)
         losses = per_sample_losses(features, meta, TripletParams(**_given(TripletParams, args)))
-    if (args.t_hard is None) != (args.t_noise is None):
-        raise ConfigError("provide both --t-hard and --t-noise, or neither")
     if args.t_hard is not None:
         thresholds = MiningThresholds(t_hard=args.t_hard, t_noise=args.t_noise)
     else:
-        thresholds = thresholds_from_quantiles(losses, args.q_hard, args.q_noise)
+        quantiles = {"q_hard": args.q_hard, "q_noise": args.q_noise}
+        thresholds = thresholds_from_quantiles(
+            losses, **{name: q for name, q in quantiles.items() if q is not None}
+        )
     report = partition_samples(losses, thresholds)
     save_mining_report(report, meta, args.out)
     counts = report.counts()

@@ -61,10 +61,12 @@ class PipelineConfig:
     out_dir: str = "."
 
 
-_FIELD_TYPES = {
-    f.name: type(f.default_factory() if f.default is MISSING else f.default)
-    for f in fields(PipelineConfig)
-}
+def field_default(f):
+    """The default value of the dataclass field ``f`` (a fresh one for a factory)."""
+    return f.default_factory() if f.default is MISSING else f.default
+
+
+_FIELD_TYPES = {f.name: type(field_default(f)) for f in fields(PipelineConfig)}
 
 
 def load_config(path) -> dict:

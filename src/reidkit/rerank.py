@@ -15,9 +15,13 @@ The re-ranking runs over the concatenated query+gallery set:
 6. Jaccard distance 1 - sum(min(V_p, V_g)) / sum(max(V_p, V_g)).
 7. Blend (1 - lambda) * jaccard + lambda * euclidean, query x gallery block.
 
-Holds the full (q+g) x (q+g) matrices in memory, which is fine up to
-roughly 20k samples; beyond that the computation would have to be blocked
-over probe rows (not implemented).
+Memory: one (q+g) x (q+g) float64 distance matrix, which exact neighbour
+order and the lambda blend both read; V in sparse row form with about
+(q+g) * |expanded set| entries (local query expansion briefly holds k2
+times that); and a few q x g float64 arrays for the Jaccard term and the
+blend.  Neighbour lists come from a partition to k1 over blocks of rows,
+the reciprocal sets from sorted pair keys, and the Jaccard term from an
+inverted index over gallery columns.
 """
 
 from __future__ import annotations
@@ -27,8 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .geometry import euclidean_distances, l2_normalize
+
+
+_BLOCK_ROWS = 256  # rows per neighbour-selection block; bounds the partition temporaries
 
 
 @dataclass(frozen=True)
@@ -53,65 +60,134 @@ def _validate_rerank(params, n_total):
         raise ConfigError(f"lambda must be in [0, 1], got {params.lam}")
 
 
+def _feature_pair(q, g):
+    """``q`` and ``g`` as 2-D arrays of one width; DataError on NaN or Inf."""
+    q = np.asarray(q)
+    g = np.asarray(g)
+    if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
+        raise ShapeError(f"incompatible shapes {q.shape} vs {g.shape}")
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(g))):
+        raise DataError("features contain NaN or Inf")
+    return q, g
+
+
+def _row_ptr(rows, n):
+    """CSR row pointers of the sorted row indices ``rows`` over n rows."""
+    return np.searchsorted(rows, np.arange(n + 1))
+
+
+def _ranges(starts, lens):
+    """Concatenation of ``arange(s, s + l)`` over the pairs of ``starts`` and ``lens``."""
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(int(ends[-1]) if len(ends) else 0)
+
+
+def _member(sorted_keys, keys):
+    """Whether each of ``keys`` occurs in the sorted array ``sorted_keys``."""
+    pos = np.searchsorted(sorted_keys, keys)
+    found = pos < len(sorted_keys)
+    found[found] = sorted_keys[pos[found]] == keys[found]
+    return found
+
+
+def _neighbours(dist, k):
+    """The first k entries of each row's (distance, index) order, shape (n, k).
+
+    Equals ``np.argsort(dist, axis=1, kind="stable")[:, :k]``: a partition
+    finds each row's k-th smallest distance, and only the entries at or
+    below it are sorted.
+    """
+    out = np.empty((dist.shape[0], k), dtype=np.intp)
+    for start in range(0, dist.shape[0], _BLOCK_ROWS):
+        block = dist[start:start + _BLOCK_ROWS]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(block <= kth[:, None])
+        order = np.lexsort((cols, block[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        out[start:start + len(block)] = cols[rank < k].reshape(-1, k)
+    return out
+
+
+def _reciprocal_pairs(top):
+    """Pairs (p, x) with x in R(p, k) for the (n, k) neighbour lists ``top``.
+
+    ``p`` is sorted and each R(p, k) keeps its neighbour order.
+    """
+    n, k = top.shape
+    p = np.repeat(np.arange(n), k)
+    x = top.ravel()
+    mutual = _member(np.sort(p * n + x), x * n + p)
+    return p[mutual], x[mutual]
+
+
 def k_reciprocal_rerank(q: np.ndarray, g: np.ndarray, params: RerankParams = RerankParams()) -> np.ndarray:
     """Re-rank query x gallery distances with k-reciprocal Jaccard encoding.
 
     With lam=1 the output equals the plain Euclidean query x gallery
     distances.  Neighbor ties are broken by lower index, so the result is
-    deterministic.
+    deterministic.  Works on the float32 features and raises DataError
+    when one is NaN or Inf (a float64 value beyond the float32 range is).
     """
-    q = np.asarray(q)
-    g = np.asarray(g)
+    with np.errstate(over="ignore"):
+        q, g = _feature_pair(np.asarray(q, dtype=np.float32), np.asarray(g, dtype=np.float32))
     nq, ng = q.shape[0], g.shape[0]
     n = nq + ng
     _validate_rerank(params, n)
-    feats = np.vstack([q.astype(np.float32), g.astype(np.float32)])
+    feats = np.vstack([q, g])
 
     dist = euclidean_distances(feats, feats).astype(np.float64)
-    rank = np.argsort(dist, axis=1, kind="stable")
+    k1, k2 = params.k1, params.k2
+    top = _neighbours(dist, k1)
 
-    k1 = params.k1
-    half = math.ceil(k1 / 2)
-    top_k1 = rank[:, :k1]
-    top_half = rank[:, :half]
+    # reciprocal sets: R(p, k1) as pairs, R(c, ceil(k1/2)) as CSR lists
+    rp, rx = _reciprocal_pairs(top)
+    hp, hx = _reciprocal_pairs(top[:, :math.ceil(k1 / 2)])
+    h_ptr = _row_ptr(hp, n)
 
-    in_top_k1 = np.zeros((n, n), dtype=bool)
-    in_top_k1[np.arange(n)[:, None], top_k1] = True
-    in_top_half = np.zeros((n, n), dtype=bool)
-    in_top_half[np.arange(n)[:, None], top_half] = True
+    # expansion over (p, c, x) triples: c in R(p, k1), x in R(c, ceil(k1/2))
+    r_keys = np.sort(rp * n + rx)
+    lens = np.diff(h_ptr)[rx]
+    pair = np.repeat(np.arange(len(rp)), lens)
+    keys = rp[pair] * n + hx[_ranges(h_ptr[rx], lens)]
+    hits = np.bincount(pair, weights=_member(r_keys, keys), minlength=len(rp))
+    accept = hits >= (2.0 / 3.0) * lens
+    vp, vx = np.divmod(np.unique(np.concatenate([r_keys, keys[accept[pair]]])), n)
 
-    # reciprocal sets at k1 and at ceil(k1/2)
-    recip = [top_k1[p][in_top_k1[top_k1[p], p]] for p in range(n)]
-    recip_half = [top_half[p][in_top_half[top_half[p], p]] for p in range(n)]
+    # V in CSR form: exp(-d) on the expanded set, L1-normalized per row
+    w = np.exp(-dist[vp, vx])
+    total = np.bincount(vp, weights=w, minlength=n)[vp]
+    vv = np.divide(w, total, out=np.zeros_like(w), where=total > 0.0)
+    v_ptr = _row_ptr(vp, n)
 
-    V = np.zeros((n, n), dtype=np.float64)
-    for p in range(n):
-        base = recip[p]
-        member = np.zeros(n, dtype=bool)
-        member[base] = True
-        expanded = member.copy()
-        for cand in base:
-            cset = recip_half[cand]
-            if member[cset].sum() >= (2.0 / 3.0) * len(cset):
-                expanded[cset] = True
-        idx = np.flatnonzero(expanded)
-        weights = np.exp(-dist[p, idx])
-        total = weights.sum()
-        if total > 0.0:
-            V[p, idx] = weights / total
+    # local query expansion: sum the rows of N(p, k2) in neighbour order, / k2
+    nb = top[:, :k2].ravel()
+    lens = np.diff(v_ptr)[nb]
+    at = _ranges(v_ptr[nb], lens)
+    owner = np.repeat(np.repeat(np.arange(n), k2), lens)
+    keys, inverse = np.unique(owner * n + vx[at], return_inverse=True)
+    vv = np.bincount(inverse, weights=vv[at]) / k2
+    vp, vx = np.divmod(keys, n)
+    row_sums = np.bincount(vp, weights=vv, minlength=n)
 
-    # local query expansion over the k2 nearest rows
-    V = V[rank[:, :params.k2]].mean(axis=1)
-
-    row_sums = V.sum(axis=1)
-    vq, vg = V[:nq], V[nq:]
-    jaccard = np.empty((nq, ng), dtype=np.float64)
+    # Jaccard: sum(min) over the shared support through an inverted index of
+    # the gallery rows by column; sum(max) = |V_p| + |V_g| - sum(min)
+    q_ptr = _row_ptr(vp, nq)
+    gal = np.flatnonzero(vp >= nq)
+    gal = gal[np.argsort(vx[gal], kind="stable")]
+    col_ptr = _row_ptr(vx[gal], n)
+    col_len = np.diff(col_ptr)
+    g_row, g_val = vp[gal] - nq, vv[gal]
+    mins = np.empty((nq, ng), dtype=np.float64)
     for i in range(nq):
-        mins = np.minimum(vq[i][None, :], vg).sum(axis=1)
-        maxs = row_sums[i] + row_sums[nq:] - mins
-        with np.errstate(invalid="ignore", divide="ignore"):
-            row = 1.0 - mins / maxs
-        jaccard[i] = np.where(maxs > 0.0, row, 1.0)
+        cols, vals = vx[q_ptr[i]:q_ptr[i + 1]], vv[q_ptr[i]:q_ptr[i + 1]]
+        lens = col_len[cols]
+        at = _ranges(col_ptr[cols], lens)
+        shared = np.minimum(np.repeat(vals, lens), g_val[at])
+        mins[i] = np.bincount(g_row[at], weights=shared, minlength=ng)
+    maxs = row_sums[:nq, None] + row_sums[None, nq:] - mins
+    with np.errstate(invalid="ignore", divide="ignore"):
+        jaccard = np.where(maxs > 0.0, 1.0 - mins / maxs, 1.0)
 
     blended = (1.0 - params.lam) * jaccard + params.lam * dist[:nq, nq:]
     return np.maximum(blended, 0.0).astype(np.float32)
@@ -125,16 +201,13 @@ def aqe_expand(q: np.ndarray, g: np.ndarray, params: AqeParams = AqeParams()) ->
     similarity**alpha; vectors are L2-normalized before averaging and the
     result is re-normalized.  Negative similarities contribute weight 0
     (fractional alpha is undefined for them).  k=0 returns the normalized
-    queries unchanged.
+    queries unchanged.  Raises DataError on NaN or Inf features.
     """
     if params.k < 0:
         raise ConfigError(f"neighbor count must be >= 0, got {params.k}")
     if params.alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {params.alpha}")
-    q = np.asarray(q)
-    g = np.asarray(g)
-    if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
-        raise ShapeError(f"incompatible shapes {q.shape} vs {g.shape}")
+    q, g = _feature_pair(q, g)
     if params.k > g.shape[0]:
         raise ConfigError(f"k={params.k} exceeds gallery size {g.shape[0]}")
 

@@ -22,12 +22,16 @@ from reidkit import (
     load_ppm,
     local_grayscale,
     make_rng,
+    partition_samples,
+    per_sample_losses,
     random_erase,
     save_distances,
     save_features,
     save_meta,
+    save_mining_report,
     save_ppm,
     split_query_gallery,
+    thresholds_from_quantiles,
     triplet_loss_batch_hard,
 )
 from reidkit.cli import build_parser, main
@@ -157,3 +161,32 @@ def test_loss_check_weights_match_library(tmp_path, capsys):
     assert words[1] == f"{triplet:.6f}"
     assert words[5] == f"{total:.6f}"
     assert total == pytest.approx(triplet, abs=1e-12)
+
+
+def test_mine_losses_file_matches_library(tmp_path, capsys):
+    features, meta = generate_synthetic(SynthParams(n_ids=4, per_id=4, dims=6, seed=7))
+    losses = per_sample_losses(features, meta).astype(np.float32)
+    save_meta(meta, tmp_path / "m.csv")
+    save_features(losses[None, :], tmp_path / "l.fvec")
+    for flags, thresholds in (
+        ([], thresholds_from_quantiles(losses)),
+        (["--q-hard", "0.5"], thresholds_from_quantiles(losses, q_hard=0.5)),
+    ):
+        out = tmp_path / "cli.csv"
+        # --features is not needed when the losses are given
+        assert main(["mine", "--meta", str(tmp_path / "m.csv"),
+                     "--losses", str(tmp_path / "l.fvec"), *flags, "--out", str(out)]) == 0
+        save_mining_report(partition_samples(losses, thresholds), meta, tmp_path / "lib.csv")
+        assert out.read_text() == (tmp_path / "lib.csv").read_text()
+    capsys.readouterr()
+
+
+def test_mine_rejects_bad_loss_sources(tmp_path, capsys):
+    _, meta = generate_synthetic(SynthParams(n_ids=4, per_id=4, dims=6, seed=7))
+    save_meta(meta, tmp_path / "m.csv")
+    save_features(np.ones((2, 8), dtype=np.float32), tmp_path / "two_rows.fvec")
+    base = ["mine", "--meta", str(tmp_path / "m.csv"), "--out", str(tmp_path / "out.csv")]
+    assert main(base + ["--losses", str(tmp_path / "two_rows.fvec")]) == 3
+    assert main(base) == 2
+    assert not (tmp_path / "out.csv").exists()
+    capsys.readouterr()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,18 @@ from naive_reference import naive_aqe, naive_rerank
 from reidkit import (
     AqeParams,
     ConfigError,
+    DataError,
     RerankParams,
     ShapeError,
+    SynthParams,
     aqe_expand,
     ensemble_distances,
     euclidean_distances,
+    generate_synthetic,
     k_reciprocal_rerank,
     l2_normalize,
 )
+from reidkit.rerank import _neighbours
 
 
 def _clustered(rng, n_ids, per_id, dims, spread=0.35):
@@ -97,6 +103,91 @@ def test_rerank_parameter_validation():
     ]:
         with pytest.raises(ConfigError):
             k_reciprocal_rerank(q, g, params)
+
+
+def _hostile_sets(rng):
+    """Valid inputs that stress ties and set sizes: (name, features)."""
+    n = int(rng.integers(10, 26))
+    d = int(rng.integers(2, 6))
+    base = rng.normal(size=(max(2, n // 3), d)).astype(np.float32)
+    centre = rng.normal(size=(1, d))
+    return [
+        ("duplicate rows", base[rng.integers(0, len(base), size=n)]),
+        ("integer grid", rng.integers(0, 3, size=(n, d)).astype(np.float32)),
+        ("single cluster", (centre + 0.01 * rng.normal(size=(n, d))).astype(np.float32)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rerank_matches_naive_on_hostile_inputs(seed):
+    rng = np.random.default_rng(300 + seed)
+    for name, data in _hostile_sets(rng):
+        n = len(data)
+        nq = int(rng.integers(1, n - 1))
+        q, g = data[:nq], data[nq:]
+        for k1, k2, lam in [(n - 1, 2, 0.1), (n - 1, n - 1, 0.0), (6, 6, 1.0), (4, 1, 0.0), (7, 3, 0.3)]:
+            got = k_reciprocal_rerank(q, g, RerankParams(k1=k1, k2=k2, lam=lam))
+            ref = naive_rerank(q, g, k1, k2, lam)
+            assert np.abs(got.astype(np.float64) - ref).max() < 1e-5, (name, k1, k2, lam)
+
+
+def test_neighbour_lists_equal_a_stable_full_sort():
+    rng = np.random.default_rng(310)
+    for dist in [
+        rng.integers(0, 4, size=(300, 300)).astype(np.float64),  # heavy ties
+        rng.random((300, 300)),
+        np.zeros((300, 300)),
+    ]:
+        for k in (1, 7, 299):
+            expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+            assert np.array_equal(_neighbours(dist, k), expected), k
+
+
+@pytest.mark.parametrize("source", ["synthetic", "random"])
+def test_rerank_peak_memory_stays_near_the_distance_matrix(source):
+    if source == "synthetic":
+        features, _ = generate_synthetic(SynthParams(n_ids=84, per_id=12, dims=64, seed=3))
+        data = l2_normalize(features)
+    else:
+        data = l2_normalize(np.random.default_rng(311).normal(size=(1000, 32)))
+    q, g = data[:200], data[200:]
+    n = len(data)
+    tracemalloc.start()
+    try:
+        k_reciprocal_rerank(q, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} x n^2 float64"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rerank_and_aqe_reject_non_finite_features(bad):
+    rng = np.random.default_rng(312)
+    q = rng.normal(size=(3, 4)).astype(np.float32)
+    g = rng.normal(size=(9, 4)).astype(np.float32)
+    for where in ("query", "gallery"):
+        qb, gb = q.copy(), g.copy()
+        (qb if where == "query" else gb)[1, 2] = bad
+        with pytest.raises(DataError):
+            k_reciprocal_rerank(qb, gb, RerankParams(k1=4, k2=2))
+        with pytest.raises(DataError):
+            aqe_expand(qb, gb, AqeParams(k=2))
+
+
+def test_rerank_rejects_features_that_overflow_float32():
+    q = np.array([[1e39, 0.0]])
+    g = np.zeros((4, 2))
+    with pytest.raises(DataError):
+        k_reciprocal_rerank(q, g, RerankParams(k1=2, k2=1))
+
+
+def test_rerank_rejects_incompatible_shapes():
+    params = RerankParams(k1=2, k2=1)
+    with pytest.raises(ShapeError):
+        k_reciprocal_rerank(np.zeros((2, 3)), np.zeros((5, 4)), params)
+    with pytest.raises(ShapeError):
+        k_reciprocal_rerank(np.zeros(3), np.zeros((5, 3)), params)
 
 
 def test_aqe_matches_naive_loop():
