@@ -28,14 +28,33 @@ class EvalReport:
 
 
 def rank_gallery(distances: np.ndarray) -> np.ndarray:
-    """Ascending stable sort of gallery indices per query row.
+    """Gallery indices of each query row in ascending (distance, index) order.
 
-    Equal distances keep index order, so rankings are deterministic.
+    Equals ``np.argsort(distances, axis=1, kind="stable")``: equal distances
+    (``-0.0`` and ``0.0`` included) keep index order, so rankings are
+    deterministic.  The order comes from numpy's default unstable argsort;
+    each position then gets the start of its run of equal sorted values,
+    and one sort of the integer keys ``run_start * m + index`` puts every
+    run of ties in index order.  NaN has no place in this order, so a NaN
+    distance raises DataError.
     """
     distances = np.asarray(distances)
     if distances.ndim != 2:
         raise ConfigError(f"distance matrix must be 2-D, got shape {distances.shape}")
-    return np.argsort(distances, axis=1, kind="stable")
+    if np.isnan(distances).any():
+        raise DataError("distance matrix contains NaN")
+    n, m = distances.shape
+    order = np.argsort(distances, axis=1)
+    values = np.take_along_axis(distances, order, axis=1)
+    starts_run = np.ones((n, m), dtype=bool)
+    np.not_equal(values[:, 1:], values[:, :-1], out=starts_run[:, 1:])
+    del values  # freed before the key array is made: the peak stays near twice the output
+    key = starts_run * np.arange(m)
+    np.maximum.accumulate(key, axis=1, out=key)
+    key *= m
+    key += order
+    key.sort(axis=1)
+    return np.remainder(key, m, out=key)
 
 
 def evaluate(

@@ -28,6 +28,17 @@ def _as_2d(m, name):
     return m
 
 
+def feature_pair(q, g):
+    """``q`` and ``g`` as 2-D arrays of one width; DataError on NaN or Inf."""
+    q = np.asarray(q)
+    g = np.asarray(g)
+    if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
+        raise ShapeError(f"incompatible shapes {q.shape} vs {g.shape}")
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(g))):
+        raise DataError("features contain NaN or Inf")
+    return q, g
+
+
 def l2_normalize(m: np.ndarray) -> np.ndarray:
     """Scale each row to unit L2 norm; all-zero rows pass through unchanged."""
     m = _as_2d(m, "features")
@@ -52,11 +63,8 @@ def euclidean_distances64(q: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def euclidean_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances ||q_i - g_j||, rounded to float32."""
-    q = _as_2d(q, "query features")
-    g = _as_2d(g, "gallery features")
-    if q.shape[1] != g.shape[1]:
-        raise ShapeError(f"dimension mismatch: query d={q.shape[1]}, gallery d={g.shape[1]}")
+    """Pairwise Euclidean distances ||q_i - g_j||, rounded to float32; DataError on NaN/Inf."""
+    q, g = feature_pair(q, g)
     return euclidean_distances64(q.astype(np.float64), g.astype(np.float64)).astype(np.float32)
 
 
@@ -64,12 +72,9 @@ def cosine_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pairwise cosine distances 1 - cos(q_i, g_j).
 
     Zero vectors have undefined direction and are assigned distance 1 to
-    everything (similarity 0).
+    everything (similarity 0).  Raises DataError on NaN or Inf features.
     """
-    q = _as_2d(q, "query features")
-    g = _as_2d(g, "gallery features")
-    if q.shape[1] != g.shape[1]:
-        raise ShapeError(f"dimension mismatch: query d={q.shape[1]}, gallery d={g.shape[1]}")
+    q, g = feature_pair(q, g)
     qn = l2_normalize(q).astype(np.float64)
     gn = l2_normalize(g).astype(np.float64)
     sim = qn @ gn.T

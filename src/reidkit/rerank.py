@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .geometry import euclidean_distances, l2_normalize
+from .geometry import euclidean_distances, feature_pair, l2_normalize
 
 
 _BLOCK_ROWS = 256  # rows per neighbour-selection block; bounds the partition temporaries
@@ -60,17 +60,6 @@ def _validate_rerank(params, n_total):
         raise ConfigError(f"lambda must be in [0, 1], got {params.lam}")
 
 
-def _feature_pair(q, g):
-    """``q`` and ``g`` as 2-D arrays of one width; DataError on NaN or Inf."""
-    q = np.asarray(q)
-    g = np.asarray(g)
-    if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
-        raise ShapeError(f"incompatible shapes {q.shape} vs {g.shape}")
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(g))):
-        raise DataError("features contain NaN or Inf")
-    return q, g
-
-
 def _row_ptr(rows, n):
     """CSR row pointers of the sorted row indices ``rows`` over n rows."""
     return np.searchsorted(rows, np.arange(n + 1))
@@ -95,7 +84,8 @@ def _neighbours(dist, k):
 
     Equals ``np.argsort(dist, axis=1, kind="stable")[:, :k]``: a partition
     finds each row's k-th smallest distance, and only the entries at or
-    below it are sorted.
+    below it are sorted.  Re-ranking takes its k1-neighbour lists from here
+    and query expansion its top-k gallery items (``dist`` = -similarity).
     """
     out = np.empty((dist.shape[0], k), dtype=np.intp)
     for start in range(0, dist.shape[0], _BLOCK_ROWS):
@@ -130,7 +120,7 @@ def k_reciprocal_rerank(q: np.ndarray, g: np.ndarray, params: RerankParams = Rer
     when one is NaN or Inf (a float64 value beyond the float32 range is).
     """
     with np.errstate(over="ignore"):
-        q, g = _feature_pair(np.asarray(q, dtype=np.float32), np.asarray(g, dtype=np.float32))
+        q, g = feature_pair(np.asarray(q, dtype=np.float32), np.asarray(g, dtype=np.float32))
     nq, ng = q.shape[0], g.shape[0]
     n = nq + ng
     _validate_rerank(params, n)
@@ -207,7 +197,7 @@ def aqe_expand(q: np.ndarray, g: np.ndarray, params: AqeParams = AqeParams()) ->
         raise ConfigError(f"neighbor count must be >= 0, got {params.k}")
     if params.alpha < 0:
         raise ConfigError(f"alpha must be >= 0, got {params.alpha}")
-    q, g = _feature_pair(q, g)
+    q, g = feature_pair(q, g)
     if params.k > g.shape[0]:
         raise ConfigError(f"k={params.k} exceeds gallery size {g.shape[0]}")
 
@@ -216,7 +206,7 @@ def aqe_expand(q: np.ndarray, g: np.ndarray, params: AqeParams = AqeParams()) ->
         return qn.astype(np.float32)
     gn = l2_normalize(g).astype(np.float64)
     sim = qn @ gn.T
-    order = np.argsort(-sim, axis=1, kind="stable")[:, :params.k]
+    order = _neighbours(-sim, params.k)
 
     expanded = np.empty_like(qn)
     for i in range(qn.shape[0]):

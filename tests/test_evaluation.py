@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,61 @@ def test_rank_gallery_rows_are_monotone():
         row = d[i, r[i]]
         assert np.all(np.diff(row) >= 0)
         assert sorted(r[i].tolist()) == list(range(30))
+
+
+def _assert_stable_order(d):
+    r = rank_gallery(d)
+    ref = np.argsort(d, axis=1, kind="stable")
+    assert r.dtype == ref.dtype
+    assert np.array_equal(r, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_rank_gallery_equals_a_stable_sort_on_floats(dtype):
+    rng = np.random.default_rng(73)
+    for d in (
+        rng.normal(size=(30, 400)),
+        np.round(rng.normal(size=(30, 400)), 1),  # heavy ties
+        np.full((5, 60), 0.25),  # constant rows
+        rng.choice([-0.0, 0.0, 1.0], size=(20, 90)),
+        rng.choice([-np.inf, np.inf, -7.5, -1.0, 0.0, 2.0], size=(20, 90)),
+    ):
+        _assert_stable_order(d.astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_rank_gallery_equals_a_stable_sort_on_integers(dtype):
+    rng = np.random.default_rng(74)
+    info = np.iinfo(dtype)
+    for d in (
+        rng.integers(-4, 5, size=(30, 400)),
+        np.full((5, 60), 7),
+        rng.choice([info.min, -1, 0, info.max], size=(20, 90)),
+    ):
+        _assert_stable_order(d.astype(dtype))
+
+
+@pytest.mark.parametrize("shape", [(0, 7), (6, 0), (6, 1), (0, 0)])
+def test_rank_gallery_degenerate_shapes(shape):
+    _assert_stable_order(np.zeros(shape))
+
+
+def test_rank_gallery_rejects_nan():
+    d = np.zeros((3, 4), dtype=np.float32)
+    d[2, 1] = np.nan
+    with pytest.raises(DataError):
+        rank_gallery(d)
+
+
+def test_rank_gallery_peak_memory_is_a_small_multiple_of_the_output():
+    d = np.random.default_rng(75).random((1000, 5000), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        r = rank_gallery(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * r.nbytes, f"peak {peak / r.nbytes:.2f} x output"
 
 
 def test_known_average_precision():

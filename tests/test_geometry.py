@@ -62,6 +62,19 @@ def test_euclidean_shape_mismatch():
         euclidean_distances(np.ones(3), np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("distances", [euclidean_distances, cosine_distances])
+def test_distances_reject_non_finite_features(distances, bad):
+    rng = np.random.default_rng(8)
+    q = rng.normal(size=(3, 4))
+    g = rng.normal(size=(5, 4))
+    for m in (q, g):
+        m[1, 2] = bad
+        with pytest.raises(DataError):
+            distances(q, g)
+        m[1, 2] = 0.0
+
+
 def test_cosine_matches_brute_force():
     rng = np.random.default_rng(3)
     q = rng.normal(size=(6, 7))

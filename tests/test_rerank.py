@@ -200,6 +200,18 @@ def test_aqe_matches_naive_loop():
         assert np.abs(got.astype(np.float64) - ref).max() < 1e-6
 
 
+def test_aqe_matches_naive_loop_on_duplicate_gallery_rows():
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        q = rng.normal(size=(4, 6)).astype(np.float32)
+        g = rng.normal(size=(4, 6)).astype(np.float32)
+        g = g[rng.integers(0, 4, size=12)]  # exact similarity ties
+        for k in (1, 3, 7):
+            got = aqe_expand(q, g, AqeParams(k=k, alpha=3.0))
+            ref = naive_aqe(q, g, k, 3.0)
+            assert np.abs(got.astype(np.float64) - ref).max() < 1e-6
+
+
 def test_aqe_k_zero_only_normalizes():
     rng = np.random.default_rng(58)
     q = rng.normal(size=(5, 4)).astype(np.float32)
