@@ -16,7 +16,7 @@ import numpy as np
 from . import augment as aug
 from . import tensorio
 from .errors import ConfigError, DataError, ReidkitError
-from .evaluation import evaluate, rank_gallery, save_cmc_csv, save_report
+from .evaluation import evaluate_distances, save_cmc_csv, save_report
 from .geometry import DISTANCES, l2_normalize
 from .losses import (
     CircleParams,
@@ -186,8 +186,8 @@ def _cmd_eval(args):
     dist = tensorio.load_distances(args.distances)
     qmeta = tensorio.load_meta(args.query_meta)
     gmeta = tensorio.load_meta(args.gallery_meta)
-    report = evaluate(
-        rank_gallery(dist), qmeta, gmeta,
+    report = evaluate_distances(
+        dist, qmeta, gmeta,
         exclude_same_camera=args.exclude_same_camera, topk=args.topk,
     )
     print(f"mAP {report.map:.6f}  top1 {report.cmc[0]:.6f}  "

@@ -5,6 +5,15 @@ query when the person ids agree; with the same-camera exclusion flag,
 gallery items sharing both person and camera with the query are removed
 from the ranked list entirely (neither hit nor miss).  Queries left
 without a single potential match are skipped and only counted.
+
+AP per query is the mean of i / r_i over its matches, where r_i is the
+1-based rank of the i-th match in the (possibly camera-filtered) list;
+CMC[k] is the fraction of valid queries with a match in the top k.  Lists
+are ranked in ascending (distance, index) order.  AP and CMC only need the
+places of a query's matches and junk items in that list, so
+``evaluate_distances`` reads them straight from the distances without
+ranking the gallery; ``evaluate`` reads them from a given ranking.  Both
+feed one AP/CMC loop.
 """
 
 from __future__ import annotations
@@ -57,60 +66,50 @@ def rank_gallery(distances: np.ndarray) -> np.ndarray:
     return np.remainder(key, m, out=key)
 
 
-def evaluate(
-    ranking: np.ndarray,
-    query_meta: MetaTable,
-    gallery_meta: MetaTable,
-    exclude_same_camera: bool = False,
-    topk: int = 50,
-) -> EvalReport:
-    """mAP and CMC of a ranking against query/gallery metadata.
-
-    AP per query is the mean of i / r_i over its matches, where r_i is the
-    1-based rank of the i-th match in the (possibly camera-filtered) list.
-    CMC[k] is the fraction of valid queries with a match in the top k.
-    Raises DataError unless each ranking row is a permutation of range(ng).
-    """
-    ranking = np.asarray(ranking)
-    nq, ng = ranking.shape
-    if len(query_meta) != nq or len(gallery_meta) != ng:
+def _check_layout(matrix, what, query_meta, gallery_meta, topk):
+    if matrix.ndim != 2:
+        raise ConfigError(f"{what} must be 2-D, got shape {matrix.shape}")
+    if len(query_meta) != matrix.shape[0] or len(gallery_meta) != matrix.shape[1]:
         raise ConfigError(
             f"metadata sizes ({len(query_meta)}, {len(gallery_meta)}) do not match "
-            f"ranking shape {ranking.shape}"
+            f"{what} shape {matrix.shape}"
         )
     if topk < 1:
         raise ConfigError(f"topk must be >= 1, got {topk}")
-    if not np.issubdtype(ranking.dtype, np.integer) or (
-        ranking.size and (ranking.min() < 0 or ranking.max() >= ng)
-    ):
-        raise DataError(f"ranking must hold integer gallery indices in [0, {ng})")
 
+
+def _score(places, query_meta, gallery_meta, exclude_same_camera, topk) -> EvalReport:
+    """The AP/CMC loop over all queries.
+
+    ``places(i, items)`` returns the 0-based places of the gallery indices
+    ``items`` in query i's full ranked list.  It runs for every query,
+    skipped ones included, so it can also validate each row.
+    """
     g_pids = gallery_meta.person_ids
     g_cams = gallery_meta.camera_ids
+    by_person = np.argsort(g_pids, kind="stable")
+    ids, starts = np.unique(g_pids[by_person], return_index=True)
+    galleries = dict(zip(ids.tolist(), np.split(by_person, starts[1:])))
+    nobody = by_person[:0]
 
     aps = []
     first_match_ranks = []
     skipped = 0
-    seen = np.empty(ng, dtype=bool)
-    for i in range(nq):
-        q = query_meta[i]
-        order = ranking[i]
-        # one O(ng) scatter: an in-range row that marks every slot is a permutation
-        seen[:] = False
-        seen[order] = True
-        if not seen.all():
-            raise DataError(f"ranking row {i} repeats a gallery index, so it is not a permutation")
-        match = g_pids[order] == q.person_id
-        if exclude_same_camera:
-            junk = match & (g_cams[order] == q.camera_id)
-            keep = ~junk
-            match = match[keep]
-        hits = np.flatnonzero(match)
+    for i, q in enumerate(query_meta):
+        items = galleries.get(q.person_id, nobody)
+        at = places(i, items)
+        junk = (g_cams[items] == q.camera_id) & exclude_same_camera
+        hits = at[~junk]
         if hits.size == 0:
             skipped += 1
             continue
-        ranks = hits + 1.0
-        aps.append(np.mean(np.arange(1, hits.size + 1) / ranks))
+        hits.sort()
+        junk_at = at[junk]
+        junk_at.sort()
+        # junk ranked ahead of a match leaves the list and moves the match up
+        hits -= junk_at.searchsorted(hits)
+        # the same pairwise sum and division as np.mean, without its per-call overhead
+        aps.append((np.arange(1, hits.size + 1) / (hits + 1.0)).sum() / hits.size)
         first_match_ranks.append(hits[0] + 1)
 
     if not aps:
@@ -124,6 +123,86 @@ def evaluate(
         n_valid_queries=len(aps),
         n_skipped=skipped,
     )
+
+
+def evaluate(
+    ranking: np.ndarray,
+    query_meta: MetaTable,
+    gallery_meta: MetaTable,
+    exclude_same_camera: bool = False,
+    topk: int = 50,
+) -> EvalReport:
+    """mAP and CMC of a ranking against query/gallery metadata.
+
+    Each ranking row lists gallery indices best first.  Raises ConfigError
+    unless the ranking is 2-D and matches the metadata, and DataError
+    unless each row is a permutation of range(ng).  Places come from each
+    row's inverse permutation.
+    """
+    ranking = np.asarray(ranking)
+    _check_layout(ranking, "ranking", query_meta, gallery_meta, topk)
+    ng = ranking.shape[1]
+    if not np.issubdtype(ranking.dtype, np.integer) or (
+        ranking.size and (ranking.min() < 0 or ranking.max() >= ng)
+    ):
+        raise DataError(f"ranking must hold integer gallery indices in [0, {ng})")
+
+    inverse = np.empty(ng, dtype=np.intp)
+    slots = np.arange(ng)
+
+    def places(i, items):
+        # one O(ng) scatter: an in-range row that fills every slot is a permutation
+        inverse.fill(-1)
+        inverse[ranking[i]] = slots
+        if (inverse < 0).any():
+            raise DataError(f"ranking row {i} repeats a gallery index, so it is not a permutation")
+        return inverse[items]
+
+    return _score(places, query_meta, gallery_meta, exclude_same_camera, topk)
+
+
+def evaluate_distances(
+    distances: np.ndarray,
+    query_meta: MetaTable,
+    gallery_meta: MetaTable,
+    exclude_same_camera: bool = False,
+    topk: int = 50,
+) -> EvalReport:
+    """mAP and CMC of a distance matrix, equal to ``evaluate(rank_gallery(distances), ...)``.
+
+    No ranking is built.  Per query row, one value-only sort gives the
+    place of each match or junk item j: the number of strictly smaller
+    distances (a ``searchsorted``) plus the number of equal distances at
+    lower indices.  That count orders only the members of the tied runs,
+    so a row costs O(ng log ng) however many items share one value.
+    Raises ConfigError on a shape mismatch and DataError on a NaN distance.
+    """
+    distances = np.asarray(distances)
+    _check_layout(distances, "distance matrix", query_meta, gallery_meta, topk)
+
+    def places(i, items):
+        row = distances[i]
+        ordered = np.sort(row)  # NaN sorts last
+        if ordered.size and np.isnan(ordered[-1]):
+            raise DataError(f"distance matrix contains NaN (row {i})")
+        values = row[items]
+        at = np.searchsorted(ordered, values, "left")
+        tied = np.searchsorted(ordered, values, "right") - at > 1
+        if tied.any():
+            at[tied] += _equal_before(row, items[tied])
+        return at
+
+    return _score(places, query_meta, gallery_meta, exclude_same_camera, topk)
+
+
+def _equal_before(row, items):
+    """For each index j in ``items``, the number of k < j with row[k] == row[j]."""
+    members = np.flatnonzero(np.isin(row, row[items]))
+    values = row[members]
+    order = np.argsort(values, kind="stable")  # (value, index) order of the tied runs
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    return slot[np.searchsorted(members, items)] - np.searchsorted(values[order], row[items], "left")
 
 
 def ablation_table(reports) -> str:

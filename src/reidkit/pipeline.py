@@ -22,8 +22,7 @@ from .errors import ConfigError, IoError, ReidkitError
 from .evaluation import (
     EvalReport,
     ablation_table,
-    evaluate,
-    rank_gallery,
+    evaluate_distances,
     save_cmc_csv,
     save_report,
 )
@@ -152,9 +151,8 @@ def run_pipeline(cfg: PipelineConfig):
     gmeta = _stage("load", tensorio.load_meta, cfg.gallery_meta)
 
     def score(name, dist):
-        ranking = rank_gallery(dist)
         return _stage(
-            name, evaluate, ranking, qmeta, gmeta,
+            name, evaluate_distances, dist, qmeta, gmeta,
             exclude_same_camera=cfg.exclude_same_camera, topk=cfg.topk,
         )
 

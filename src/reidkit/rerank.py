@@ -225,7 +225,9 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
     """Elementwise sum of identically shaped distance matrices.
 
     With ``normalize`` each input is min-max scaled to [0, 1] over its own
-    entries first (a constant matrix maps to all zeros).
+    entries first (a constant matrix maps to all zeros).  The sum runs in
+    float64 and is returned as float32; besides the float64 total, at most
+    one float64 input-sized temporary (the scaled input) is alive.
     """
     mats = [np.asarray(m) for m in matrices]
     if not mats:
@@ -238,9 +240,14 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
             raise ShapeError(f"shape mismatch in ensemble: {m.shape} vs {shape}")
     total = np.zeros(shape, dtype=np.float64)
     for m in mats:
-        m64 = m.astype(np.float64)
-        if normalize:
-            lo, hi = m64.min(), m64.max()
-            m64 = (m64 - lo) / (hi - lo) if hi > lo else np.zeros(shape, dtype=np.float64)
-        total += m64
+        if not normalize:
+            total += m
+            continue
+        # float64 bounds: hi - lo taken in float32 would round differently
+        lo, hi = np.float64(m.min()), np.float64(m.max())
+        if hi > lo:
+            scaled = np.subtract(m, lo, dtype=np.float64)
+            scaled /= hi - lo
+            total += scaled
+            del scaled  # freed before the next input is scaled
     return total.astype(np.float32)

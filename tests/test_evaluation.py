@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from reidkit import (
     SampleMeta,
     ablation_table,
     evaluate,
+    evaluate_distances,
     rank_gallery,
     save_cmc_csv,
     save_report,
@@ -187,6 +189,14 @@ def test_evaluate_validation():
         evaluate(rank_gallery(d), _meta([1]), _meta([1, 2]), topk=0)
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
+def test_rankings_and_distances_must_be_2d(shape):
+    matrix = np.zeros(shape, dtype=np.int64)
+    for fn in (evaluate, evaluate_distances):
+        with pytest.raises(ConfigError):
+            fn(matrix, _meta([1]), _meta([1, 2, 3]))
+
+
 def test_evaluate_rejects_rankings_that_are_not_permutations():
     qmeta, gmeta = _meta([1, 2]), _meta([1, 2, 3])
     good = np.array([[0, 1, 2], [2, 1, 0]])
@@ -243,3 +253,121 @@ def test_report_serialization(tmp_path):
     rank1 = lines[1].split(",")
     assert int(rank1[0]) == 1
     assert float(rank1[1]) == report.cmc[0]
+
+
+def _ranked(d, qmeta, gmeta, **kwargs):
+    return evaluate(rank_gallery(d), qmeta, gmeta, **kwargs)
+
+
+def _assert_scores_agree(d, q_pids, q_cams, g_pids, g_cams, topk=10):
+    """evaluate_distances equals the ranking path and the naive oracle, camera filter on and off."""
+    qmeta, gmeta = _meta(q_pids, q_cams), _meta(g_pids, g_cams)
+    for exclude in (False, True):
+        kwargs = dict(exclude_same_camera=exclude, topk=topk)
+        ref = naive_evaluate(d.tolist(), list(q_pids), list(q_cams), list(g_pids),
+                             list(g_cams), exclude, topk)
+        if ref is None:
+            for fn in (evaluate_distances, _ranked):
+                with pytest.raises(EvalError):
+                    fn(d, qmeta, gmeta, **kwargs)
+            continue
+        got = evaluate_distances(d, qmeta, gmeta, **kwargs)
+        ranked = _ranked(d, qmeta, gmeta, **kwargs)
+        assert got.map == ranked.map
+        assert np.array_equal(got.cmc, ranked.cmc)
+        assert (got.n_valid_queries, got.n_skipped) == (ranked.n_valid_queries, ranked.n_skipped)
+        ref_map, ref_cmc, ref_valid, ref_skipped = ref
+        # the oracle averages AP with a sequential sum, numpy with a pairwise one
+        assert got.map == pytest.approx(ref_map, abs=1e-12)
+        assert np.array_equal(got.cmc, ref_cmc)
+        assert (got.n_valid_queries, got.n_skipped) == (ref_valid, ref_skipped)
+
+
+def _random_meta(rng, nq, ng, n_ids=4, n_cams=2):
+    return (rng.integers(0, n_ids, nq).tolist(), rng.integers(0, n_cams, nq).tolist(),
+            rng.integers(0, n_ids, ng).tolist(), rng.integers(0, n_cams, ng).tolist())
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+def test_evaluate_distances_equals_the_ranking_path_on_floats(dtype):
+    rng = np.random.default_rng(76)
+    for d in (
+        rng.normal(size=(12, 40)),
+        np.round(rng.normal(size=(12, 40)), 1),  # heavy ties
+        np.full((6, 30), 0.25),  # constant rows
+        rng.choice([-0.0, 0.0, 1.0], size=(10, 30)),
+        rng.choice([-np.inf, np.inf, -7.5, -1.0, 0.0, 2.0], size=(10, 30)),
+    ):
+        _assert_scores_agree(d.astype(dtype), *_random_meta(rng, *d.shape))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_evaluate_distances_equals_the_ranking_path_on_integers(dtype):
+    rng = np.random.default_rng(77)
+    info = np.iinfo(dtype)
+    for d in (
+        rng.integers(-4, 5, size=(12, 40)),
+        np.full((6, 30), 7),
+        rng.choice([info.min, -1, 0, info.max], size=(10, 30)),
+    ):
+        _assert_scores_agree(d.astype(dtype), *_random_meta(rng, *d.shape))
+
+
+def test_evaluate_distances_single_camera_gallery_skips_same_camera_queries():
+    rng = np.random.default_rng(78)
+    d = np.round(rng.random((8, 20)), 1)
+    g_pids = rng.integers(0, 3, 20).tolist()
+    # every match of a camera-0 query is junk once the filter is on
+    _assert_scores_agree(d, rng.integers(0, 3, 8).tolist(), [0, 1] * 4, g_pids, [0] * 20)
+    # all queries on the gallery's camera: the filtered run skips them all
+    _assert_scores_agree(d, rng.integers(0, 3, 8).tolist(), [0] * 8, g_pids, [0] * 20)
+
+
+def test_evaluate_distances_all_skipped_and_topk_beyond_the_gallery():
+    rng = np.random.default_rng(79)
+    d = np.round(rng.random((4, 5)), 1)
+    _assert_scores_agree(d, [7, 8, 9, 7], [0, 1, 0, 1], [1, 2, 1, 2, 3], [0, 1, 1, 0, 0])
+    _assert_scores_agree(d, [1, 2, 3, 1], [0, 1, 0, 1], [1, 2, 1, 2, 3], [0, 1, 1, 0, 0], topk=12)
+
+
+def test_evaluate_distances_validation():
+    qmeta, gmeta = _meta([1, 2]), _meta([1, 2, 3])
+    d = np.zeros((2, 3), dtype=np.float32)
+    d[1, 2] = np.nan
+    with pytest.raises(DataError):
+        evaluate_distances(d, qmeta, gmeta)
+    with pytest.raises(ConfigError):
+        evaluate_distances(np.zeros((2, 4)), qmeta, gmeta)
+    with pytest.raises(ConfigError):
+        evaluate_distances(np.zeros((3, 3)), qmeta, gmeta)
+    with pytest.raises(ConfigError):
+        evaluate_distances(np.zeros((2, 3)), qmeta, gmeta, topk=0)
+
+
+def test_evaluate_distances_makes_no_query_by_gallery_array():
+    rng = np.random.default_rng(80)
+    d = rng.random((1000, 5000), dtype=np.float32)
+    qmeta = _meta(rng.integers(0, 500, 1000), rng.integers(0, 6, 1000))
+    gmeta = _meta(rng.integers(0, 500, 5000), rng.integers(0, 6, 5000))
+    tracemalloc.start()
+    try:
+        evaluate_distances(d, qmeta, gmeta, exclude_same_camera=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an nq x ng bool mask alone would be 0.25 x the float32 input
+    assert peak <= 0.1 * d.nbytes, f"peak {peak / d.nbytes:.3f} x input"
+
+
+def test_evaluate_distances_cost_stays_bounded_on_one_tied_identity():
+    d = np.full((20, 20000), 0.5, dtype=np.float32)
+    qmeta = _meta([1] * 20, [0] * 20)
+    gmeta = _meta([1] * 20000, np.arange(20000) % 3)
+    for exclude in (False, True):
+        start = time.perf_counter()
+        got = evaluate_distances(d, qmeta, gmeta, exclude_same_camera=exclude)
+        elapsed = time.perf_counter() - start
+        ranked = _ranked(d, qmeta, gmeta, exclude_same_camera=exclude)
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
+        assert got.map == ranked.map
+        assert np.array_equal(got.cmc, ranked.cmc)

@@ -300,3 +300,17 @@ def test_ensemble_validation():
         ensemble_distances([np.ones((2, 2)), np.ones((2, 3))])
     with pytest.raises(ShapeError):
         ensemble_distances([np.ones(4)])
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_ensemble_keeps_one_float64_temporary(normalize):
+    rng = np.random.default_rng(63)
+    mats = [rng.random((1000, 5000), dtype=np.float32) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        ensemble_distances(mats, normalize)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float64 total plus one scaled input (or the float32 result)
+    assert peak <= 2.1 * 1000 * 5000 * 8, f"peak {peak / (1000 * 5000 * 8):.2f} x n*m*8"
