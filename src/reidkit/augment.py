@@ -13,13 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError, IoError, ShapeError
-
-RNG_ALGORITHM = "philox4x64-10"
+from .errors import ConfigError, DataError, FormatError, ShapeError
+from .tensorio import read_bytes, write_bytes
 
 _MAX_REGION_ATTEMPTS = 100
 
@@ -168,12 +166,7 @@ def local_grayscale(img: np.ndarray, params: LgtParams, rng: np.random.Generator
 
 def load_ppm(path) -> np.ndarray:
     """Read a binary PPM (P6, maxval 255) into an (H, W, 3) uint8 array."""
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
+    blob = read_bytes(path)
     pos = 0
 
     def token():
@@ -204,6 +197,8 @@ def load_ppm(path) -> np.ndarray:
         raise FormatError(f"{path}: malformed PPM header") from None
     if maxval != 255:
         raise FormatError(f"{path}: unsupported maxval {maxval}, expected 255")
+    if width < 0 or height < 0:
+        raise FormatError(f"{path}: negative PPM size {width}x{height}")
     pos += 1  # single whitespace byte after maxval
     payload = blob[pos:]
     expected = height * width * 3
@@ -216,7 +211,4 @@ def save_ppm(img: np.ndarray, path) -> None:
     """Write an (H, W, 3) uint8 array as binary PPM (P6)."""
     img = _check_image(img)
     header = f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    try:
-        Path(path).write_bytes(header + np.ascontiguousarray(img).tobytes())
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_bytes(path, header + np.ascontiguousarray(img).tobytes())

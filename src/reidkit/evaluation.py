@@ -18,14 +18,12 @@ feed one AP/CMC loop.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, EvalError, IoError
-from .tensorio import MetaTable
+from .errors import ConfigError, DataError, EvalError
+from .tensorio import MetaTable, write_bytes, write_csv
 
 
 @dataclass
@@ -228,19 +226,10 @@ def save_report(report: EvalReport, path) -> None:
     for k in (1, 5, 10, 20):
         if k <= report.cmc.size:
             lines.append(f"cmc_top{k}={float(report.cmc[k - 1])!r}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def save_cmc_csv(report: EvalReport, path) -> None:
     """CMC curve as a two-column CSV (rank, cmc)."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rank", "cmc"])
-            for k, v in enumerate(report.cmc, start=1):
-                writer.writerow([k, repr(float(v))])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    rows = ([k, repr(float(v))] for k, v in enumerate(report.cmc, start=1))
+    write_csv(path, ["rank", "cmc"], rows)

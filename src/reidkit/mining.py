@@ -8,18 +8,16 @@ hard samples for extra augmentation, and the rest is clean.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IoError
+from .errors import ConfigError
 from .geometry import euclidean_distances64
 from .losses import TripletParams, batch_hard
-from .tensorio import MetaTable
+from .tensorio import MetaTable, write_csv
 
 _BLOCK_ROWS = 1024  # anchors per distance block; keeps memory flat at scale
 
@@ -165,12 +163,9 @@ def save_mining_report(report: MiningReport, meta: MetaTable, path) -> None:
     """Serialize a mining report to CSV with columns image_id,loss,class."""
     if len(meta) != len(report.partition):
         raise ConfigError("metadata length does not match report length")
-    path = Path(path)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["image_id", "loss", "class"])
-            for entry, loss, cls in zip(meta, report.losses, report.partition):
-                writer.writerow([entry.image_id, repr(float(loss)), cls.value])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_csv(
+        path,
+        ["image_id", "loss", "class"],
+        ([e.image_id, repr(float(loss)), cls.value]
+         for e, loss, cls in zip(meta, report.losses, report.partition)),
+    )

@@ -18,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from . import tensorio
-from .errors import ConfigError, IoError, ReidkitError
+from .errors import ConfigError, ReidkitError
 from .evaluation import (
     EvalReport,
     ablation_table,
@@ -69,12 +69,12 @@ _FIELD_TYPES = {f.name: type(field_default(f)) for f in fields(PipelineConfig)}
 
 
 def load_config(path) -> dict:
-    """Parse a flat key=value config file into a string mapping."""
+    """Parse a flat key=value UTF-8 config file into a string mapping."""
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        text = tensorio.read_text(path)
+    except ReidkitError as exc:
+        raise ConfigError(f"config {exc}") from exc
     first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -203,8 +203,6 @@ def run_pipeline(cfg: PipelineConfig):
     _stage("write", tensorio.save_distances, dist, out / "distances.dmat")
     _stage("write", save_report, report, out / "report.txt")
     _stage("write", save_cmc_csv, report, out / "cmc.csv")
-    try:
-        (out / "ablation.txt").write_text(ablation_table(rows) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write ablation table: {exc}") from exc
+    table = (ablation_table(rows) + "\n").encode("utf-8")
+    _stage("write", tensorio.write_bytes, out / "ablation.txt", table)
     return report, rows

@@ -234,8 +234,8 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
         raise ConfigError("ensemble needs at least one distance matrix")
     shape = mats[0].shape
     for m in mats:
-        if m.ndim != 2:
-            raise ShapeError(f"distance matrices must be 2-D, got shape {m.shape}")
+        if m.ndim != 2 or m.size == 0:
+            raise ShapeError(f"distance matrices must be 2-D and non-empty, got shape {m.shape}")
         if m.shape != shape:
             raise ShapeError(f"shape mismatch in ensemble: {m.shape} vs {shape}")
     total = np.zeros(shape, dtype=np.float64)

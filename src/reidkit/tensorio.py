@@ -11,11 +11,16 @@ plain ``(n_query, n_gallery)`` float32 arrays; the loaders reject anything
 non-finite (and, for distances, anything negative) so downstream code can
 rely on those invariants.  Saving then loading reproduces the array
 bit-for-bit, which the golden-replay tests depend on.
+
+``read_bytes``, ``read_text``, ``write_bytes`` and ``write_csv`` are the only
+place reidkit touches files, so a file that cannot be read, written or
+decoded always ends in an ``IoError`` or ``FormatError``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +38,40 @@ _HEADER = struct.Struct("<4sII")
 META_HEADER = ["image_id", "person_id", "camera_id"]
 
 
+def read_bytes(path) -> bytes:
+    """The contents of ``path``; an OS-level failure is an :class:`IoError`."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def read_text(path) -> str:
+    """The contents of ``path`` as UTF-8, without newline translation."""
+    blob = read_bytes(path)
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
+
+
+def write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to ``path``; an OS-level failure is an :class:`IoError`."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a UTF-8 CSV with ``csv.writer``'s default CRLF line ends."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_bytes(path, buf.getvalue().encode("utf-8"))
+
+
 @dataclass(frozen=True)
 class SampleMeta:
     """Identity and camera/sequence tags for one image."""
@@ -46,7 +85,7 @@ class MetaTable:
     """Ordered list of :class:`SampleMeta`, index-aligned with a feature matrix.
 
     Image ids must be unique within one table; person and camera ids must be
-    non-negative integers.
+    integers in ``[0, 2**63)``, so they fit the int64 id arrays.
     """
 
     def __init__(self, entries):
@@ -58,9 +97,9 @@ class MetaTable:
             if e.image_id in seen:
                 raise DataError(f"duplicate image_id {e.image_id!r}")
             seen.add(e.image_id)
-            if e.person_id < 0 or e.camera_id < 0:
+            if not (0 <= e.person_id < 2**63 and 0 <= e.camera_id < 2**63):
                 raise DataError(
-                    f"negative person_id/camera_id for image {e.image_id!r}"
+                    f"person_id/camera_id of image {e.image_id!r} outside [0, 2**63)"
                 )
         self.entries = entries
 
@@ -115,11 +154,7 @@ def _validate(m, magic, source=None) -> np.ndarray:
 
 
 def _load_binary(path, magic):
-    path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    blob = read_bytes(path)
     if len(blob) < _HEADER.size:
         raise FormatError(f"{path}: truncated header ({len(blob)} bytes)")
     tag, n, d = _HEADER.unpack_from(blob)
@@ -136,13 +171,9 @@ def _load_binary(path, magic):
 
 def _save_binary(m, path, magic):
     m = _validate(m, magic)
-    path = Path(path)
     header = _HEADER.pack(magic, m.shape[0], m.shape[1])
     payload = np.ascontiguousarray(m, dtype="<f4").tobytes()
-    try:
-        path.write_bytes(header + payload)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_bytes(path, header + payload)
 
 
 def load_features(path) -> np.ndarray:
@@ -169,47 +200,34 @@ def save_distances(m: np.ndarray, path) -> None:
 
 
 def load_meta(path) -> MetaTable:
-    """Load a metadata CSV, preserving row order."""
-    path = Path(path)
+    """Load a UTF-8 metadata CSV, preserving row order."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    entries = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: empty metadata file")
+        if header != META_HEADER:
+            raise FormatError(f"{path}: bad header {header!r}, expected {META_HEADER!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise FormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
+            image_id, pid, cam = row
             try:
-                header = next(reader)
-            except StopIteration:
-                raise FormatError(f"{path}: empty metadata file") from None
-            if header != META_HEADER:
+                pid = int(pid)
+                cam = int(cam)
+            except ValueError:
                 raise FormatError(
-                    f"{path}: bad header {header!r}, expected {META_HEADER!r}"
-                )
-            entries = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise FormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-                image_id, pid, cam = row
-                try:
-                    pid = int(pid)
-                    cam = int(cam)
-                except ValueError:
-                    raise FormatError(
-                        f"{path}:{lineno}: person_id/camera_id must be integers"
-                    ) from None
-                entries.append(SampleMeta(image_id, pid, cam))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+                    f"{path}:{lineno}: person_id/camera_id must be integers"
+                ) from None
+            entries.append(SampleMeta(image_id, pid, cam))
+    except csv.Error as exc:
+        raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
     return MetaTable(entries)
 
 
 def save_meta(meta: MetaTable, path) -> None:
     """Write a metadata table back to CSV (inverse of :func:`load_meta`)."""
-    path = Path(path)
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(META_HEADER)
-            for e in meta:
-                writer.writerow([e.image_id, e.person_id, e.camera_id])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_csv(path, META_HEADER, ([e.image_id, e.person_id, e.camera_id] for e in meta))

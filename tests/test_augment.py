@@ -194,3 +194,6 @@ def test_ppm_rejects_bad_files(tmp_path):
     path.write_bytes(b"P6\n2 two\n255\n" + bytes(12))
     with pytest.raises(FormatError):
         load_ppm(path)
+    path.write_bytes(b"P6\n-1 -2\n255\n" + bytes(6))  # product matches the payload
+    with pytest.raises(FormatError):
+        load_ppm(path)

@@ -300,6 +300,9 @@ def test_ensemble_validation():
         ensemble_distances([np.ones((2, 2)), np.ones((2, 3))])
     with pytest.raises(ShapeError):
         ensemble_distances([np.ones(4)])
+    for normalize in (False, True):
+        with pytest.raises(ShapeError):
+            ensemble_distances([np.zeros((0, 3), np.float32)], normalize)
 
 
 @pytest.mark.parametrize("normalize", [False, True])

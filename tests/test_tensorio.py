@@ -163,6 +163,12 @@ def test_meta_field_validation(tmp_path):
     path.write_text("image_id,person_id,camera_id\na,-1,0\n")
     with pytest.raises(DataError):
         load_meta(path)
+    path.write_text("image_id,person_id,camera_id\na,99999999999999999999999,0\n")
+    with pytest.raises(DataError):  # past int64, where .person_ids would overflow
+        load_meta(path)
+    with pytest.raises(DataError):
+        MetaTable([SampleMeta("a", 1, 2**63)])
+    assert MetaTable([SampleMeta("a", 2**63 - 1, 0)]).person_ids.tolist() == [2**63 - 1]
     with pytest.raises(DataError):
         MetaTable([SampleMeta("", 1, 0)])
 
