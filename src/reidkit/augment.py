@@ -31,22 +31,31 @@ class FillMode(Enum):
 
 
 @dataclass(frozen=True)
-class EraseParams:
+class LgtParams:
+    """Gate probability and rectangle bounds; :class:`EraseParams` adds a fill."""
+
     probability: float = 0.5
     area_low: float = 0.02
     area_high: float = 0.4
     aspect_low: float = 0.3
     aspect_high: float = 3.33
-    fill: FillMode = FillMode.RANDOM_PER_PIXEL
+
+    def __post_init__(self):
+        if not (0.0 <= self.probability <= 1.0):
+            raise ConfigError(f"probability must be in [0, 1], got {self.probability}")
+        if not (0.0 < self.area_low <= self.area_high < 1.0):
+            raise ConfigError(
+                f"area fractions must satisfy 0 < low <= high < 1, got [{self.area_low}, {self.area_high}]"
+            )
+        if not (0.0 < self.aspect_low <= self.aspect_high):
+            raise ConfigError(
+                f"aspect bounds must satisfy 0 < low <= high, got [{self.aspect_low}, {self.aspect_high}]"
+            )
 
 
 @dataclass(frozen=True)
-class LgtParams:
-    probability: float = 0.5
-    area_low: float = 0.02
-    area_high: float = 0.4
-    aspect_low: float = 0.3
-    aspect_high: float = 3.33
+class EraseParams(LgtParams):
+    fill: FillMode = FillMode.RANDOM_PER_PIXEL
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,12 @@ class Rect:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Seeded Philox generator; identical seeds give identical streams."""
+    """Seeded Philox generator; identical seeds give identical streams.
+
+    The seed must be a non-negative integer (ConfigError otherwise).
+    """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -69,19 +83,6 @@ def _check_image(img) -> np.ndarray:
     if img.dtype != np.uint8:
         raise DataError(f"image must be uint8, got {img.dtype}")
     return img
-
-
-def _check_region_params(p):
-    if not (0.0 <= p.probability <= 1.0):
-        raise ConfigError(f"probability must be in [0, 1], got {p.probability}")
-    if not (0.0 < p.area_low <= p.area_high < 1.0):
-        raise ConfigError(
-            f"area fractions must satisfy 0 < low <= high < 1, got [{p.area_low}, {p.area_high}]"
-        )
-    if not (0.0 < p.aspect_low <= p.aspect_high):
-        raise ConfigError(
-            f"aspect bounds must satisfy 0 < low <= high, got [{p.aspect_low}, {p.aspect_high}]"
-        )
 
 
 def horizontal_flip(img: np.ndarray) -> np.ndarray:
@@ -117,7 +118,6 @@ def random_erase(img: np.ndarray, params: EraseParams, rng: np.random.Generator)
     was erased; pixels outside rect are bit-identical to the input.
     """
     img = _check_image(img)
-    _check_region_params(params)
     out = img.copy()
     if rng.random() >= params.probability:
         return out, None
@@ -155,7 +155,6 @@ def local_grayscale(img: np.ndarray, params: LgtParams, rng: np.random.Generator
     itself consumes no randomness.  Returns (image, rect).
     """
     img = _check_image(img)
-    _check_region_params(params)
     if rng.random() >= params.probability:
         return img.copy(), None
     rect = _sample_region(rng, img.shape[0], img.shape[1], params)

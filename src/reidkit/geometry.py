@@ -20,6 +20,10 @@ class GemParams:
 
     p: float = 3.0
 
+    def __post_init__(self):
+        if not (self.p >= 1.0):
+            raise ConfigError(f"GeM exponent must be >= 1, got {self.p}")
+
 
 def _as_2d(m, name):
     m = np.asarray(m)
@@ -106,8 +110,6 @@ def gem_pool(fmap: np.ndarray, params: GemParams = GemParams()) -> np.ndarray:
     fmap = np.asarray(fmap)
     if fmap.ndim != 3:
         raise ShapeError(f"feature map must be (H, W, C), got shape {fmap.shape}")
-    if params.p < 1.0:
-        raise ConfigError(f"GeM exponent must be >= 1, got {params.p}")
     if np.any(fmap < 0):
         raise DataError("feature map contains negative activations")
     x = fmap.astype(np.float64)

@@ -27,11 +27,21 @@ _EXP_CLIP = 700.0  # exp overflow guard for the log-domain path
 class TripletParams:
     margin: float = 0.4
 
+    def __post_init__(self):
+        if not (self.margin >= 0.0):
+            raise ConfigError(f"margin must be >= 0, got {self.margin}")
+
 
 @dataclass(frozen=True)
 class CircleParams:
     m: float = 0.4
     gamma: float = 64.0
+
+    def __post_init__(self):
+        if not (0.0 < self.m < 1.0):
+            raise ConfigError(f"relaxation factor m must be in (0, 1), got {self.m}")
+        if not (self.gamma > 0.0):
+            raise ConfigError(f"scale gamma must be positive, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +52,10 @@ class CombinedParams:
     w_circle: float = 1.0
     triplet: TripletParams = field(default_factory=TripletParams)
     circle: CircleParams = field(default_factory=CircleParams)
+
+    def __post_init__(self):
+        if not (self.w_triplet + self.w_circle > 0.0):
+            raise ConfigError("at least one loss weight must be positive")
 
 
 def _validate_batch(embeddings, labels):
@@ -99,8 +113,6 @@ def triplet_loss_batch_hard(embeddings, labels, params: TripletParams = TripletP
     values.  Raises :class:`BatchError` if any anchor lacks a positive or a
     negative, naming the offending label.
     """
-    if params.margin < 0:
-        raise ConfigError(f"margin must be >= 0, got {params.margin}")
     x, labels = _validate_batch(embeddings, labels)
     d_pos, d_neg, _, _ = _batch_hard_or_raise(x, labels)
     per_anchor = np.maximum(d_pos - d_neg + params.margin, 0.0)
@@ -147,10 +159,6 @@ def circle_loss(embeddings, labels, params: CircleParams = CircleParams()):
     similarity.  Evaluated via log-sum-exp, so it stays finite at large
     gamma.  Batches without a positive or without a negative pair yield 0.
     """
-    if not (0.0 < params.m < 1.0):
-        raise ConfigError(f"relaxation factor m must be in (0, 1), got {params.m}")
-    if params.gamma <= 0.0:
-        raise ConfigError(f"scale gamma must be positive, got {params.gamma}")
     x, labels = _validate_batch(embeddings, labels)
     sim, _, _ = _cosine_matrix(x)
     pos_mask, neg_mask = _circle_pair_masks(labels)
@@ -163,8 +171,6 @@ def circle_loss(embeddings, labels, params: CircleParams = CircleParams()):
 
 def combined_loss(embeddings, labels, params: CombinedParams = CombinedParams()):
     """w_triplet * triplet + w_circle * circle for one batch."""
-    if params.w_triplet + params.w_circle <= 0.0:
-        raise ConfigError("at least one loss weight must be positive")
     total = 0.0
     if params.w_triplet != 0.0:
         loss_t, _ = triplet_loss_batch_hard(embeddings, labels, params.triplet)
@@ -234,8 +240,6 @@ def loss_gradient(embeddings, labels, params: CombinedParams = CombinedParams())
     Returns an (n, d) float64 array.  At batch-hard ties the subgradient
     follows the loss's lowest-index selection.
     """
-    if params.w_triplet + params.w_circle <= 0.0:
-        raise ConfigError("at least one loss weight must be positive")
     x, labels = _validate_batch(embeddings, labels)
     grad = np.zeros_like(x)
     if params.w_triplet != 0.0:

@@ -33,6 +33,10 @@ class MiningThresholds:
     t_hard: float
     t_noise: float
 
+    def __post_init__(self):
+        if not (self.t_hard < self.t_noise):
+            raise ConfigError(f"t_hard ({self.t_hard}) must be strictly below t_noise ({self.t_noise})")
+
 
 @dataclass
 class MiningReport:
@@ -90,10 +94,6 @@ def partition_samples(losses, thresholds: MiningThresholds) -> MiningReport:
     Noise iff loss >= t_noise, hard iff t_hard <= loss < t_noise, clean
     otherwise.
     """
-    if thresholds.t_hard >= thresholds.t_noise:
-        raise ConfigError(
-            f"t_hard ({thresholds.t_hard}) must be strictly below t_noise ({thresholds.t_noise})"
-        )
     losses = np.asarray(losses, dtype=np.float64)
     partition = []
     for v in losses:
@@ -110,7 +110,7 @@ def thresholds_from_quantiles(losses, q_hard: float = 0.7, q_noise: float = 0.97
     """Derive thresholds as empirical quantiles (linear interpolation).
 
     Degenerate distributions may produce t_hard == t_noise, which
-    :func:`partition_samples` rejects downstream.
+    :class:`MiningThresholds` rejects.
     """
     if not (0.0 < q_hard < q_noise < 1.0):
         raise ConfigError(

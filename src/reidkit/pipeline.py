@@ -59,6 +59,12 @@ class PipelineConfig:
     topk: int = 50
     out_dir: str = "."
 
+    def __post_init__(self):
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            if choices and getattr(self, f.name) not in choices:
+                raise ConfigError(f"{f.name} must be one of {choices}, got {getattr(self, f.name)!r}")
+
 
 def field_default(f):
     """The default value of the dataclass field ``f`` (a fresh one for a factory)."""
@@ -118,12 +124,7 @@ def config_from_mapping(values: dict) -> PipelineConfig:
                 updates[key] = kind(value)
             except ValueError:
                 raise ConfigError(f"config key {key!r}: expected {kind.__name__}, got {value!r}") from None
-    cfg = PipelineConfig(**updates)
-    for f in fields(cfg):
-        choices = f.metadata.get("choices")
-        if choices and getattr(cfg, f.name) not in choices:
-            raise ConfigError(f"{f.name} must be one of {choices}, got {getattr(cfg, f.name)!r}")
-    return cfg
+    return PipelineConfig(**updates)
 
 
 def _stage(name, fn, *args, **kwargs):
@@ -144,6 +145,8 @@ def run_pipeline(cfg: PipelineConfig):
             raise ConfigError(f"missing required config key {key!r}")
     if cfg.tta and (not cfg.query_flipped or not cfg.gallery_flipped):
         raise ConfigError("tta requires query_flipped and gallery_flipped feature paths")
+    rerank_params = _stage("rerank", RerankParams, k1=cfg.k1, k2=cfg.k2, lam=cfg.lam)
+    aqe_params = _stage("aqe", AqeParams, k=cfg.aqe_k, alpha=cfg.aqe_alpha)
 
     q = _stage("load", tensorio.load_features, cfg.query_features)
     g = _stage("load", tensorio.load_features, cfg.gallery_features)
@@ -169,9 +172,6 @@ def run_pipeline(cfg: PipelineConfig):
         gn = _stage("normalize", l2_normalize, _stage("tta", fuse_flip_features, g, gf))
         dist = _stage("distances", DISTANCES[cfg.metric], qn, gn)
         rows.append(("+tta", score("evaluate", dist)))
-
-    rerank_params = RerankParams(k1=cfg.k1, k2=cfg.k2, lam=cfg.lam)
-    aqe_params = AqeParams(k=cfg.aqe_k, alpha=cfg.aqe_alpha)
 
     if cfg.aqe and cfg.aqe_stage == "pre":
         qn = _stage("aqe", aqe_expand, qn, gn, aqe_params)
@@ -199,7 +199,7 @@ def run_pipeline(cfg: PipelineConfig):
 
     report = rows[-1][1]
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _stage("write", tensorio.make_dirs, out)
     _stage("write", tensorio.save_distances, dist, out / "distances.dmat")
     _stage("write", save_report, report, out / "report.txt")
     _stage("write", save_cmc_csv, report, out / "cmc.csv")

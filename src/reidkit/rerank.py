@@ -44,20 +44,23 @@ class RerankParams:
     k2: int = 6
     lam: float = 0.1
 
+    def __post_init__(self):
+        if self.k1 < 1 or self.k2 < 1 or self.k2 > self.k1:
+            raise ConfigError(f"need 1 <= k2 <= k1, got k1={self.k1}, k2={self.k2}")
+        if not (0.0 <= self.lam <= 1.0):
+            raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
+
 
 @dataclass(frozen=True)
 class AqeParams:
     k: int = 5
     alpha: float = 3.0
 
-
-def _validate_rerank(params, n_total):
-    if params.k1 < 1 or params.k2 < 1 or params.k2 > params.k1:
-        raise ConfigError(f"need 1 <= k2 <= k1, got k1={params.k1}, k2={params.k2}")
-    if params.k1 >= n_total:
-        raise ConfigError(f"k1={params.k1} must be below the total sample count {n_total}")
-    if not (0.0 <= params.lam <= 1.0):
-        raise ConfigError(f"lambda must be in [0, 1], got {params.lam}")
+    def __post_init__(self):
+        if self.k < 0:
+            raise ConfigError(f"neighbor count must be >= 0, got {self.k}")
+        if not (self.alpha >= 0.0):
+            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
 
 
 def _row_ptr(rows, n):
@@ -123,7 +126,8 @@ def k_reciprocal_rerank(q: np.ndarray, g: np.ndarray, params: RerankParams = Rer
         q, g = feature_pair(np.asarray(q, dtype=np.float32), np.asarray(g, dtype=np.float32))
     nq, ng = q.shape[0], g.shape[0]
     n = nq + ng
-    _validate_rerank(params, n)
+    if params.k1 >= n:
+        raise ConfigError(f"k1={params.k1} must be below the total sample count {n}")
     feats = np.vstack([q, g])
 
     dist = euclidean_distances(feats, feats).astype(np.float64)
@@ -193,10 +197,6 @@ def aqe_expand(q: np.ndarray, g: np.ndarray, params: AqeParams = AqeParams()) ->
     (fractional alpha is undefined for them).  k=0 returns the normalized
     queries unchanged.  Raises DataError on NaN or Inf features.
     """
-    if params.k < 0:
-        raise ConfigError(f"neighbor count must be >= 0, got {params.k}")
-    if params.alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {params.alpha}")
     q, g = feature_pair(q, g)
     if params.k > g.shape[0]:
         raise ConfigError(f"k={params.k} exceeds gallery size {g.shape[0]}")

@@ -27,6 +27,16 @@ class SynthParams:
     noise_frac: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.n_ids < 2 or self.per_id < 2:
+            raise ConfigError(f"need n_ids >= 2 and per_id >= 2, got {self.n_ids}, {self.per_id}")
+        if self.dims < 1:
+            raise ConfigError(f"dims must be >= 1, got {self.dims}")
+        if not (self.cluster_spread > 0.0):
+            raise ConfigError(f"cluster_spread must be positive, got {self.cluster_spread}")
+        if not (0.0 <= self.noise_frac <= 1.0):
+            raise ConfigError(f"noise_frac must be in [0, 1], got {self.noise_frac}")
+
 
 def generate_synthetic(params: SynthParams):
     """Build (features, meta) for a clustered synthetic identity dataset.
@@ -36,17 +46,6 @@ def generate_synthetic(params: SynthParams):
     the same-camera exclusion path stays exercisable.  The relabel count is
     round(noise_frac * n).
     """
-    if params.n_ids < 2 or params.per_id < 2:
-        raise ConfigError(
-            f"need n_ids >= 2 and per_id >= 2, got {params.n_ids}, {params.per_id}"
-        )
-    if params.dims < 1:
-        raise ConfigError(f"dims must be >= 1, got {params.dims}")
-    if params.cluster_spread <= 0.0:
-        raise ConfigError(f"cluster_spread must be positive, got {params.cluster_spread}")
-    if not (0.0 <= params.noise_frac <= 1.0):
-        raise ConfigError(f"noise_frac must be in [0, 1], got {params.noise_frac}")
-
     rng = make_rng(params.seed)
     n = params.n_ids * params.per_id
     features = np.empty((n, params.dims), dtype=np.float64)

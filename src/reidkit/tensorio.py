@@ -12,9 +12,10 @@ non-finite (and, for distances, anything negative) so downstream code can
 rely on those invariants.  Saving then loading reproduces the array
 bit-for-bit, which the golden-replay tests depend on.
 
-``read_bytes``, ``read_text``, ``write_bytes`` and ``write_csv`` are the only
-place reidkit touches files, so a file that cannot be read, written or
-decoded always ends in an ``IoError`` or ``FormatError``.
+``read_bytes``, ``read_text``, ``write_bytes``, ``write_csv`` and ``make_dirs``
+are the only place reidkit touches the file system, so a file that cannot be
+read, decoded or written, or a directory that cannot be created, always ends
+in an ``IoError`` or ``FormatError``.
 """
 
 from __future__ import annotations
@@ -61,6 +62,14 @@ def write_bytes(path, data: bytes) -> None:
         Path(path).write_bytes(data)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def make_dirs(path) -> None:
+    """Create directory ``path`` and its parents; an OS-level failure is an :class:`IoError`."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {path}: {exc}") from exc
 
 
 def write_csv(path, header, rows) -> None:

@@ -150,16 +150,16 @@ def test_gate_draw_consumed_even_when_skipped():
 def test_region_param_validation():
     img = np.zeros((8, 8, 3), dtype=np.uint8)
     bad = [
-        EraseParams(probability=1.5),
-        EraseParams(area_low=0.0),
-        EraseParams(area_low=0.5, area_high=0.2),
-        EraseParams(area_high=1.0),
-        EraseParams(aspect_low=0.0),
-        EraseParams(aspect_low=2.0, aspect_high=1.0),
+        dict(probability=1.5),
+        dict(area_low=0.0),
+        dict(area_low=0.5, area_high=0.2),
+        dict(area_high=1.0),
+        dict(aspect_low=0.0),
+        dict(aspect_low=2.0, aspect_high=1.0),
     ]
-    for params in bad:
+    for kwargs in bad:
         with pytest.raises(ConfigError):
-            random_erase(img, params, make_rng(0))
+            random_erase(img, EraseParams(**kwargs), make_rng(0))
     with pytest.raises(DataError):
         random_erase(img.astype(np.int32), EraseParams(), make_rng(0))
 

@@ -190,3 +190,54 @@ def test_mine_rejects_bad_loss_sources(tmp_path, capsys):
     assert main(base) == 2
     assert not (tmp_path / "out.csv").exists()
     capsys.readouterr()
+
+
+def test_mine_rejects_a_negative_margin_by_name(tmp_path, capsys):
+    features, meta = generate_synthetic(SynthParams(n_ids=4, per_id=4, dims=6, seed=7))
+    save_features(features, tmp_path / "f.fvec")
+    save_meta(meta, tmp_path / "m.csv")
+    capsys.readouterr()
+    assert main(["mine", "--features", str(tmp_path / "f.fvec"), "--meta", str(tmp_path / "m.csv"),
+                 "--margin", "-1", "--out", str(tmp_path / "out.csv")]) == 2
+    assert "margin must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rerank", "--k1", "0"],
+    ["--aqe", "--aqe-alpha", "-1"],
+    ["--k2", "30"],  # re-ranking disabled: its keys are still checked
+    ["--aqe-k", "-1"],
+])
+def test_pipeline_checks_params_before_reading_any_input(tmp_path, capsys, flags):
+    missing = [str(tmp_path / name) for name in ("q.fvec", "g.fvec", "q.csv", "g.csv")]
+    code = main(["pipeline", "--query-features", missing[0], "--gallery-features", missing[1],
+                 "--query-meta", missing[2], "--gallery-meta", missing[3], *flags,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "cannot read" not in capsys.readouterr().err
+
+
+def test_pipeline_out_dir_below_a_file_exits_3(tmp_path, capsys):
+    features, meta = generate_synthetic(SynthParams(n_ids=4, per_id=4, dims=6, seed=7))
+    qf, qm, gf, gm = split_query_gallery(features, meta, 1)
+    for name, f, m in (("q", qf, qm), ("g", gf, gm)):
+        save_features(f, tmp_path / f"{name}.fvec")
+        save_meta(m, tmp_path / f"{name}.csv")
+    (tmp_path / "afile").write_bytes(b"")
+    code = main(["pipeline", "--query-features", str(tmp_path / "q.fvec"),
+                 "--gallery-features", str(tmp_path / "g.fvec"),
+                 "--query-meta", str(tmp_path / "q.csv"), "--gallery-meta", str(tmp_path / "g.csv"),
+                 "--out-dir", str(tmp_path / "afile" / "sub")])
+    assert code == 3
+    assert "[stage write] cannot create" in capsys.readouterr().err
+
+
+def test_negative_seeds_exit_2(tmp_path, capsys):
+    save_ppm(np.zeros((4, 4, 3), dtype=np.uint8), tmp_path / "in.ppm")
+    assert main(["synth", "--seed", "-1", "--out-prefix", str(tmp_path / "s")]) == 2
+    assert main(["augment", "--op", "erase", "--seed", "-3", "--input", str(tmp_path / "in.ppm"),
+                 "--out", str(tmp_path / "out.ppm")]) == 2
+    assert capsys.readouterr().err.count("seed must be >= 0") == 2
+    assert not (tmp_path / "s.fvec").exists()
+    assert not (tmp_path / "out.ppm").exists()

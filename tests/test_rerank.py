@@ -94,15 +94,15 @@ def test_rerank_gallery_permutation_equivariance():
 def test_rerank_parameter_validation():
     q = np.zeros((2, 3), dtype=np.float32)
     g = np.ones((4, 3), dtype=np.float32)
-    for params in [
-        RerankParams(k1=0),
-        RerankParams(k1=2, k2=3),
-        RerankParams(k1=6, k2=1),         # k1 must stay below q+g count
-        RerankParams(lam=-0.1),
-        RerankParams(k1=3, k2=1, lam=1.2),
+    for kwargs in [
+        dict(k1=0),
+        dict(k1=2, k2=3),
+        dict(k1=6, k2=1),         # k1 must stay below q+g count
+        dict(lam=-0.1),
+        dict(k1=3, k2=1, lam=1.2),
     ]:
         with pytest.raises(ConfigError):
-            k_reciprocal_rerank(q, g, params)
+            k_reciprocal_rerank(q, g, RerankParams(**kwargs))
 
 
 def _hostile_sets(rng):

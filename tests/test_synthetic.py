@@ -79,15 +79,15 @@ def test_noise_frac_zero_keeps_labels():
 
 
 def test_param_validation():
-    for params in [
-        SynthParams(n_ids=1),
-        SynthParams(per_id=1),
-        SynthParams(dims=0),
-        SynthParams(cluster_spread=0.0),
-        SynthParams(noise_frac=1.5),
+    for kwargs in [
+        dict(n_ids=1),
+        dict(per_id=1),
+        dict(dims=0),
+        dict(cluster_spread=0.0),
+        dict(noise_frac=1.5),
     ]:
         with pytest.raises(ConfigError):
-            generate_synthetic(params)
+            generate_synthetic(SynthParams(**kwargs))
 
 
 def test_split_routes_first_k_per_identity():
