@@ -2,7 +2,9 @@
 
 All functions are pure and accumulate in float64 before rounding the result
 to float32, so outputs are reproducible regardless of how callers
-parallelize over rows.
+parallelize over rows.  Query x gallery passes here and in ``rerank`` fill
+their float32 output ``BLOCK_ROWS`` query rows at a time, so their float64
+temporaries stay a block in size whatever the number of queries.
 """
 
 from __future__ import annotations
@@ -12,6 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
+
+BLOCK_ROWS = 256  # query rows per block of a query x gallery pass
+
+
+def row_blocks(n):
+    """Slices of at most ``BLOCK_ROWS`` rows that cover ``range(n)`` in order."""
+    return [slice(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,11 @@ def euclidean_distances64(q: np.ndarray, g: np.ndarray) -> np.ndarray:
 def euclidean_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances ||q_i - g_j||, rounded to float32; DataError on NaN/Inf."""
     q, g = feature_pair(q, g)
-    return euclidean_distances64(q.astype(np.float64), g.astype(np.float64)).astype(np.float32)
+    g = g.astype(np.float64)
+    out = np.empty((q.shape[0], g.shape[0]), dtype=np.float32)
+    for rows in row_blocks(q.shape[0]):
+        out[rows] = euclidean_distances64(q[rows].astype(np.float64), g)
+    return out
 
 
 def cosine_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -79,12 +92,14 @@ def cosine_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     everything (similarity 0).  Raises DataError on NaN or Inf features.
     """
     q, g = feature_pair(q, g)
-    qn = l2_normalize(q).astype(np.float64)
+    qn = l2_normalize(q)
     gn = l2_normalize(g).astype(np.float64)
-    sim = qn @ gn.T
-    d = 1.0 - sim
-    np.clip(d, 0.0, 2.0, out=d)
-    return d.astype(np.float32)
+    out = np.empty((q.shape[0], g.shape[0]), dtype=np.float32)
+    for rows in row_blocks(q.shape[0]):
+        d = qn[rows].astype(np.float64) @ gn.T
+        np.subtract(1.0, d, out=d)
+        out[rows] = np.clip(d, 0.0, 2.0, out=d)
+    return out
 
 
 # Query x gallery distance functions by the name the `metric` option takes.

@@ -15,13 +15,14 @@ The re-ranking runs over the concatenated query+gallery set:
 6. Jaccard distance 1 - sum(min(V_p, V_g)) / sum(max(V_p, V_g)).
 7. Blend (1 - lambda) * jaccard + lambda * euclidean, query x gallery block.
 
-Memory: one (q+g) x (q+g) float64 distance matrix, which exact neighbour
-order and the lambda blend both read; V in sparse row form with about
-(q+g) * |expanded set| entries (local query expansion briefly holds k2
-times that); and a few q x g float64 arrays for the Jaccard term and the
-blend.  Neighbour lists come from a partition to k1 over blocks of rows,
-the reciprocal sets from sorted pair keys, and the Jaccard term from an
-inverted index over gallery columns.
+Memory: one (q+g) x (q+g) float32 distance matrix, which exact neighbour
+order and the row encoding read, freed once the q x g block the blend
+needs is copied out; V in sparse row form with about (q+g) * |expanded
+set| entries (local query expansion briefly holds k2 times that); and,
+for the Jaccard term and the blend, float64 arrays of one block of query
+rows by g.  Neighbour lists come from a partition to k1 over blocks of
+rows, the reciprocal sets from sorted pair keys, and the Jaccard term
+from an inverted index over gallery columns.
 """
 
 from __future__ import annotations
@@ -32,10 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .geometry import euclidean_distances, feature_pair, l2_normalize
-
-
-_BLOCK_ROWS = 256  # rows per neighbour-selection block; bounds the partition temporaries
+from .geometry import euclidean_distances, feature_pair, l2_normalize, row_blocks
 
 
 @dataclass(frozen=True)
@@ -91,14 +89,14 @@ def _neighbours(dist, k):
     and query expansion its top-k gallery items (``dist`` = -similarity).
     """
     out = np.empty((dist.shape[0], k), dtype=np.intp)
-    for start in range(0, dist.shape[0], _BLOCK_ROWS):
-        block = dist[start:start + _BLOCK_ROWS]
+    for block_rows in row_blocks(dist.shape[0]):
+        block = dist[block_rows]
         kth = np.partition(block, k - 1, axis=1)[:, k - 1]
         rows, cols = np.nonzero(block <= kth[:, None])
         order = np.lexsort((cols, block[rows, cols], rows))
         rows, cols = rows[order], cols[order]
         rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        out[start:start + len(block)] = cols[rank < k].reshape(-1, k)
+        out[block_rows] = cols[rank < k].reshape(-1, k)
     return out
 
 
@@ -114,6 +112,78 @@ def _reciprocal_pairs(top):
     return p[mutual], x[mutual]
 
 
+def _expanded_sets(top):
+    """Pairs (p, x) of the expanded sets, sorted by p and then x.
+
+    ``top`` holds the (n, k1) neighbour lists.  The expanded set of p is
+    R(p, k1) merged with every R(c, ceil(k1/2)), c in R(p, k1), of which
+    at least 2/3 already lies in R(p, k1); the expansion runs over
+    (p, c, x) triples with x in R(c, ceil(k1/2)).
+    """
+    n, k1 = top.shape
+    rp, rx = _reciprocal_pairs(top)
+    hp, hx = _reciprocal_pairs(top[:, :math.ceil(k1 / 2)])
+    h_ptr = _row_ptr(hp, n)
+    r_keys = np.sort(rp * n + rx)
+    lens = np.diff(h_ptr)[rx]
+    pair = np.repeat(np.arange(len(rp)), lens)
+    keys = rp[pair] * n + hx[_ranges(h_ptr[rx], lens)]
+    hits = np.bincount(pair, weights=_member(r_keys, keys), minlength=len(rp))
+    accept = hits >= (2.0 / 3.0) * lens
+    return np.divmod(np.unique(np.concatenate([r_keys, keys[accept[pair]]])), n)
+
+
+def _local_query_expansion(vp, vx, vv, nb):
+    """V with row p replaced by the mean of the rows ``nb[p]``, in neighbour order.
+
+    V comes and goes in sparse row form: row indices ``vp`` (sorted),
+    column indices ``vx`` and values ``vv``.
+    """
+    n, k2 = nb.shape
+    v_ptr = _row_ptr(vp, n)
+    nb = nb.ravel()
+    lens = np.diff(v_ptr)[nb]
+    at = _ranges(v_ptr[nb], lens)
+    owner = np.repeat(np.repeat(np.arange(n), k2), lens)
+    keys, inverse = np.unique(owner * n + vx[at], return_inverse=True)
+    vv = np.bincount(inverse, weights=vv[at]) / k2
+    vp, vx = np.divmod(keys, n)
+    return vp, vx, vv
+
+
+def _jaccard_blend(vp, vx, vv, orig, lam):
+    """(1 - lam) * Jaccard(V_q, V_g) + lam * ``orig`` over the q x g block, as float32.
+
+    sum(min) runs over the shared support through an inverted index of the
+    gallery rows by column, and sum(max) = |V_p| + |V_g| - sum(min); both
+    exist one block of query rows at a time.
+    """
+    nq, ng = orig.shape
+    n = nq + ng
+    row_sums = np.bincount(vp, weights=vv, minlength=n)
+    q_ptr = _row_ptr(vp, nq)
+    gal = np.flatnonzero(vp >= nq)
+    gal = gal[np.argsort(vx[gal], kind="stable")]
+    col_ptr = _row_ptr(vx[gal], n)
+    col_len = np.diff(col_ptr)
+    g_row, g_val = vp[gal] - nq, vv[gal]
+    out = np.empty((nq, ng), dtype=np.float32)
+    for rows in row_blocks(nq):
+        mins = np.empty((rows.stop - rows.start, ng), dtype=np.float64)
+        for i in range(rows.start, rows.stop):
+            cols, vals = vx[q_ptr[i]:q_ptr[i + 1]], vv[q_ptr[i]:q_ptr[i + 1]]
+            lens = col_len[cols]
+            at = _ranges(col_ptr[cols], lens)
+            shared = np.minimum(np.repeat(vals, lens), g_val[at])
+            mins[i - rows.start] = np.bincount(g_row[at], weights=shared, minlength=ng)
+        maxs = row_sums[rows, None] + row_sums[None, nq:] - mins
+        with np.errstate(invalid="ignore", divide="ignore"):
+            jaccard = np.where(maxs > 0.0, 1.0 - mins / maxs, 1.0)
+        blended = (1.0 - lam) * jaccard + lam * orig[rows].astype(np.float64)
+        out[rows] = np.maximum(blended, 0.0)
+    return out
+
+
 def k_reciprocal_rerank(q: np.ndarray, g: np.ndarray, params: RerankParams = RerankParams()) -> np.ndarray:
     """Re-rank query x gallery distances with k-reciprocal Jaccard encoding.
 
@@ -124,67 +194,25 @@ def k_reciprocal_rerank(q: np.ndarray, g: np.ndarray, params: RerankParams = Rer
     """
     with np.errstate(over="ignore"):
         q, g = feature_pair(np.asarray(q, dtype=np.float32), np.asarray(g, dtype=np.float32))
-    nq, ng = q.shape[0], g.shape[0]
-    n = nq + ng
+    nq = q.shape[0]
+    n = nq + g.shape[0]
     if params.k1 >= n:
         raise ConfigError(f"k1={params.k1} must be below the total sample count {n}")
+
     feats = np.vstack([q, g])
+    dist = euclidean_distances(feats, feats)
+    top = _neighbours(dist, params.k1)
+    vp, vx = _expanded_sets(top)
 
-    dist = euclidean_distances(feats, feats).astype(np.float64)
-    k1, k2 = params.k1, params.k2
-    top = _neighbours(dist, k1)
-
-    # reciprocal sets: R(p, k1) as pairs, R(c, ceil(k1/2)) as CSR lists
-    rp, rx = _reciprocal_pairs(top)
-    hp, hx = _reciprocal_pairs(top[:, :math.ceil(k1 / 2)])
-    h_ptr = _row_ptr(hp, n)
-
-    # expansion over (p, c, x) triples: c in R(p, k1), x in R(c, ceil(k1/2))
-    r_keys = np.sort(rp * n + rx)
-    lens = np.diff(h_ptr)[rx]
-    pair = np.repeat(np.arange(len(rp)), lens)
-    keys = rp[pair] * n + hx[_ranges(h_ptr[rx], lens)]
-    hits = np.bincount(pair, weights=_member(r_keys, keys), minlength=len(rp))
-    accept = hits >= (2.0 / 3.0) * lens
-    vp, vx = np.divmod(np.unique(np.concatenate([r_keys, keys[accept[pair]]])), n)
-
-    # V in CSR form: exp(-d) on the expanded set, L1-normalized per row
-    w = np.exp(-dist[vp, vx])
+    # V: exp(-d) on the expanded sets, L1-normalized per row
+    w = np.exp(-dist[vp, vx].astype(np.float64))
+    orig = dist[:nq, nq:].copy()
+    del dist  # only the q x g block is read from here on
     total = np.bincount(vp, weights=w, minlength=n)[vp]
     vv = np.divide(w, total, out=np.zeros_like(w), where=total > 0.0)
-    v_ptr = _row_ptr(vp, n)
 
-    # local query expansion: sum the rows of N(p, k2) in neighbour order, / k2
-    nb = top[:, :k2].ravel()
-    lens = np.diff(v_ptr)[nb]
-    at = _ranges(v_ptr[nb], lens)
-    owner = np.repeat(np.repeat(np.arange(n), k2), lens)
-    keys, inverse = np.unique(owner * n + vx[at], return_inverse=True)
-    vv = np.bincount(inverse, weights=vv[at]) / k2
-    vp, vx = np.divmod(keys, n)
-    row_sums = np.bincount(vp, weights=vv, minlength=n)
-
-    # Jaccard: sum(min) over the shared support through an inverted index of
-    # the gallery rows by column; sum(max) = |V_p| + |V_g| - sum(min)
-    q_ptr = _row_ptr(vp, nq)
-    gal = np.flatnonzero(vp >= nq)
-    gal = gal[np.argsort(vx[gal], kind="stable")]
-    col_ptr = _row_ptr(vx[gal], n)
-    col_len = np.diff(col_ptr)
-    g_row, g_val = vp[gal] - nq, vv[gal]
-    mins = np.empty((nq, ng), dtype=np.float64)
-    for i in range(nq):
-        cols, vals = vx[q_ptr[i]:q_ptr[i + 1]], vv[q_ptr[i]:q_ptr[i + 1]]
-        lens = col_len[cols]
-        at = _ranges(col_ptr[cols], lens)
-        shared = np.minimum(np.repeat(vals, lens), g_val[at])
-        mins[i] = np.bincount(g_row[at], weights=shared, minlength=ng)
-    maxs = row_sums[:nq, None] + row_sums[None, nq:] - mins
-    with np.errstate(invalid="ignore", divide="ignore"):
-        jaccard = np.where(maxs > 0.0, 1.0 - mins / maxs, 1.0)
-
-    blended = (1.0 - params.lam) * jaccard + params.lam * dist[:nq, nq:]
-    return np.maximum(blended, 0.0).astype(np.float32)
+    vp, vx, vv = _local_query_expansion(vp, vx, vv, top[:, :params.k2])
+    return _jaccard_blend(vp, vx, vv, orig, params.lam)
 
 
 def aqe_expand(q: np.ndarray, g: np.ndarray, params: AqeParams = AqeParams()) -> np.ndarray:
@@ -205,19 +233,19 @@ def aqe_expand(q: np.ndarray, g: np.ndarray, params: AqeParams = AqeParams()) ->
     if params.k == 0:
         return qn.astype(np.float32)
     gn = l2_normalize(g).astype(np.float64)
-    sim = qn @ gn.T
-    order = _neighbours(-sim, params.k)
-
     expanded = np.empty_like(qn)
-    for i in range(qn.shape[0]):
-        idx = order[i]
-        s = sim[i, idx]
-        # sim**alpha, except non-positive similarities drop out entirely
-        # (fractional alpha is undefined there, and 0**0 would weight them 1)
-        w = np.where(s > 0.0, np.power(np.maximum(s, 0.0), params.alpha), 0.0)
-        acc = qn[i] + w @ gn[idx]
-        denom = 1.0 + w.sum()
-        expanded[i] = acc / denom
+    for rows in row_blocks(qn.shape[0]):
+        sim = qn[rows] @ gn.T
+        order = _neighbours(-sim, params.k)
+        for i in range(sim.shape[0]):
+            idx = order[i]
+            s = sim[i, idx]
+            # sim**alpha, except non-positive similarities drop out entirely
+            # (fractional alpha is undefined there, and 0**0 would weight them 1)
+            w = np.where(s > 0.0, np.power(np.maximum(s, 0.0), params.alpha), 0.0)
+            acc = qn[rows.start + i] + w @ gn[idx]
+            denom = 1.0 + w.sum()
+            expanded[rows.start + i] = acc / denom
     return l2_normalize(expanded)
 
 
@@ -225,9 +253,11 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
     """Elementwise sum of identically shaped distance matrices.
 
     With ``normalize`` each input is min-max scaled to [0, 1] over its own
-    entries first (a constant matrix maps to all zeros).  The sum runs in
-    float64 and is returned as float32; besides the float64 total, at most
-    one float64 input-sized temporary (the scaled input) is alive.
+    entries first (a constant matrix maps to all zeros), with bounds taken
+    once per input over the whole matrix.  The sum runs in float64, one
+    block of rows at a time, straight into the float32 result: besides
+    that result, only a float64 total and one scaled input, each a block
+    of rows in size, are alive.
     """
     mats = [np.asarray(m) for m in matrices]
     if not mats:
@@ -238,16 +268,18 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
             raise ShapeError(f"distance matrices must be 2-D and non-empty, got shape {m.shape}")
         if m.shape != shape:
             raise ShapeError(f"shape mismatch in ensemble: {m.shape} vs {shape}")
-    total = np.zeros(shape, dtype=np.float64)
-    for m in mats:
-        if not normalize:
-            total += m
-            continue
-        # float64 bounds: hi - lo taken in float32 would round differently
-        lo, hi = np.float64(m.min()), np.float64(m.max())
-        if hi > lo:
-            scaled = np.subtract(m, lo, dtype=np.float64)
-            scaled /= hi - lo
-            total += scaled
-            del scaled  # freed before the next input is scaled
-    return total.astype(np.float32)
+    # float64 bounds: hi - lo taken in float32 would round differently
+    bounds = [(np.float64(m.min()), np.float64(m.max())) if normalize else None for m in mats]
+    out = np.empty(shape, dtype=np.float32)
+    for rows in row_blocks(shape[0]):
+        total = np.zeros((rows.stop - rows.start, shape[1]), dtype=np.float64)
+        for m, bound in zip(mats, bounds):
+            if bound is None:
+                total += m[rows]
+            elif bound[1] > bound[0]:
+                lo, hi = bound
+                scaled = np.subtract(m[rows], lo, dtype=np.float64)
+                scaled /= hi - lo
+                total += scaled
+        out[rows] = total
+    return out

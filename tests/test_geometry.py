@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from reidkit import (
     gem_pool,
     l2_normalize,
 )
+from reidkit.geometry import BLOCK_ROWS, euclidean_distances64
 
 
 def test_l2_normalize_unit_rows():
@@ -84,6 +86,35 @@ def test_cosine_matches_brute_force():
         for j in range(9):
             ref = 1.0 - float(np.dot(q[i], g[j]) / (np.linalg.norm(q[i]) * np.linalg.norm(g[j])))
             assert d[i, j] == pytest.approx(ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("nq", [1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 1000])
+def test_row_blocked_distances_equal_one_unblocked_kernel_call(nq):
+    # BLAS does not promise that a block of rows multiplies to the same bits
+    # as the whole matrix; a BLAS that breaks this must fail here, loudly.
+    rng = np.random.default_rng(nq)
+    q = rng.normal(size=(nq, 48)).astype(np.float32)
+    g = rng.normal(size=(300, 48)).astype(np.float32)
+    whole = euclidean_distances64(q.astype(np.float64), g.astype(np.float64))
+    assert np.array_equal(euclidean_distances(q, g), whole.astype(np.float32))
+    qn, gn = l2_normalize(q).astype(np.float64), l2_normalize(g).astype(np.float64)
+    whole = np.clip(1.0 - qn @ gn.T, 0.0, 2.0)
+    assert np.array_equal(cosine_distances(q, g), whole.astype(np.float32))
+
+
+@pytest.mark.parametrize("distances", [euclidean_distances, cosine_distances])
+def test_distances_peak_near_their_float32_output(distances):
+    rng = np.random.default_rng(13)
+    q = rng.normal(size=(1000, 64)).astype(np.float32)
+    g = rng.normal(size=(5000, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        distances(q, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 output plus float64 temporaries of one block of rows
+    assert peak < 2.75 * 1000 * 5000 * 4, f"peak {peak / (1000 * 5000 * 4):.2f} x nq*ng*4"
 
 
 def test_cosine_zero_vector_gets_distance_one():
