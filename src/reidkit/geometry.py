@@ -65,13 +65,27 @@ def euclidean_distances64(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Float64 distance kernel, entry (i, j) = ||q_i - g_j||; no input checks.
 
     Takes float64 (n, d) and (m, d) arrays.  Uses the
-    ||q||^2 + ||g||^2 - 2 q.g expansion with a clamp at zero to absorb
-    negative rounding residue before the square root.  Retrieval, the
-    triplet loss and mining all take their Euclidean distances from here.
+    ||q||^2 + ||g||^2 - 2 q.g expansion, which cancels for (near-)duplicate
+    rows: every entry with d^2 <= 1e-10 * (||q_i||^2 + ||g_j||^2), negative
+    rounding residue included, is taken again as sum((q_i - g_j)^2), so
+    identical rows are exactly 0 apart.  Retrieval, the triplet loss and
+    mining all take their Euclidean distances from here.
     """
-    d = np.sum(q * q, axis=1)[:, None] + np.sum(g * g, axis=1)[None, :]
+    qq = np.sum(q * q, axis=1)
+    gg = np.sum(g * g, axis=1)
+    d = qq[:, None] + gg[None, :]
     d -= 2.0 * (q @ g.T)
-    np.maximum(d, 0.0, out=d)
+    # candidates against the largest ||g_j||^2 first, so the exact test
+    # runs on a few entries; then at most len(g) pairs of rows at a time
+    cand = np.flatnonzero(d <= 1e-10 * (qq + gg.max(initial=0.0))[:, None])
+    i, j = np.divmod(cand, d.shape[1])
+    near = d[i, j] <= 1e-10 * (qq[i] + gg[j])
+    i, j = i[near], j[near]
+    step = max(len(g), 1)
+    for at in range(0, len(i), step):
+        ii, jj = i[at:at + step], j[at:at + step]
+        diff = q[ii] - g[jj]
+        d[ii, jj] = np.sum(diff * diff, axis=1)
     return np.sqrt(d, out=d)
 
 

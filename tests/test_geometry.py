@@ -57,6 +57,12 @@ def test_euclidean_self_distance_zero():
     assert np.all(d >= 0.0)
 
 
+def test_distances_with_an_empty_side_are_empty():
+    for nq, ng in [(2, 0), (0, 2), (0, 0)]:
+        for distances in (euclidean_distances, cosine_distances):
+            assert distances(np.ones((nq, 3)), np.ones((ng, 3))).shape == (nq, ng)
+
+
 def test_euclidean_shape_mismatch():
     with pytest.raises(ShapeError):
         euclidean_distances(np.ones((2, 3)), np.ones((2, 4)))

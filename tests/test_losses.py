@@ -19,6 +19,7 @@ from reidkit import (
     loss_gradient,
     triplet_loss_batch_hard,
 )
+from reidkit.geometry import euclidean_distances64
 
 
 def _random_batch(rng, n_ids=3, per_id=3, d=5, scale=1.0):
@@ -36,6 +37,17 @@ def test_triplet_matches_naive_loops():
         ref_loss, ref_per = naive_triplet(x, labels, 0.4)
         assert loss == pytest.approx(ref_loss, abs=1e-10)
         assert np.allclose(per_anchor, ref_per, atol=1e-10)
+
+
+def test_triplet_duplicate_rows_are_exactly_zero_apart():
+    # the ||a||^2 + ||b||^2 - 2 a.b expansion alone leaves x0 and x3 about 4e-8 apart
+    x = np.random.default_rng(4).normal(size=(4, 8))
+    x[3] = x[0]
+    labels = [0, 0, 1, 1]
+    assert euclidean_distances64(x, x)[0, 3] == 0.0
+    _, per_anchor = triplet_loss_batch_hard(x, labels)
+    _, ref = naive_triplet(x, labels, 0.4)
+    assert np.abs(per_anchor - ref).max() <= 1e-9
 
 
 def test_triplet_default_margin():
