@@ -35,7 +35,7 @@ _BOOL_WORDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     query_features: str = ""
     gallery_features: str = ""

@@ -55,9 +55,7 @@ def _base_config(paths, tmp_path, **overrides):
         gallery_meta=str(paths["gallery_meta"]),
         out_dir=str(tmp_path / "out"),
     )
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
-    return cfg
+    return dataclasses.replace(cfg, **overrides)
 
 
 def test_load_config_parses_comments_and_whitespace(tmp_path):
@@ -127,6 +125,17 @@ def test_config_from_mapping_rejects_bad_values():
             assert getattr(config_from_mapping({key: value}), key) == value
         with pytest.raises(ConfigError, match=key):
             config_from_mapping({key: "bogus"})
+
+
+def test_pipeline_config_is_frozen():
+    cfg = PipelineConfig()
+    for key, value in [("metric", "bogus"), ("aqe_stage", "during"), ("k1", 5)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, key, value)
+    # a changed copy is built, and checked, anew
+    assert dataclasses.replace(cfg, metric="cosine").metric == "cosine"
+    with pytest.raises(ConfigError, match="metric"):
+        dataclasses.replace(cfg, metric="bogus")
 
 
 def test_every_config_key_is_a_pipeline_flag():
@@ -231,14 +240,12 @@ def test_pipeline_cosine_metric(dataset):
 
 def test_pipeline_missing_inputs_and_stage_labels(dataset):
     tmp_path, paths, _ = dataset
-    cfg = _base_config(paths, tmp_path)
-    cfg.query_features = ""
+    cfg = _base_config(paths, tmp_path, query_features="")
     with pytest.raises(ConfigError, match="query_features"):
         run_pipeline(cfg)
     broken = tmp_path / "broken.fvec"
     broken.write_bytes(b"JUNKJUNKJUNK")
-    cfg2 = _base_config(paths, tmp_path)
-    cfg2.query_features = str(broken)
+    cfg2 = _base_config(paths, tmp_path, query_features=str(broken))
     with pytest.raises(FormatError, match=r"\[stage load\]"):
         run_pipeline(cfg2)
 
@@ -258,10 +265,8 @@ def test_pipeline_ablation_write_failure_is_io_error(dataset, capsys):
 
 def test_pipeline_is_deterministic(dataset):
     tmp_path, paths, _ = dataset
-    cfg_a = _base_config(paths, tmp_path, rerank=True, k1=10, k2=3)
-    cfg_a.out_dir = str(tmp_path / "out_a")
-    cfg_b = _base_config(paths, tmp_path, rerank=True, k1=10, k2=3)
-    cfg_b.out_dir = str(tmp_path / "out_b")
+    cfg_a = _base_config(paths, tmp_path, rerank=True, k1=10, k2=3, out_dir=str(tmp_path / "out_a"))
+    cfg_b = _base_config(paths, tmp_path, rerank=True, k1=10, k2=3, out_dir=str(tmp_path / "out_b"))
     run_pipeline(cfg_a)
     run_pipeline(cfg_b)
     a = (tmp_path / "out_a" / "distances.dmat").read_bytes()
