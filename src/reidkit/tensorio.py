@@ -56,8 +56,8 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
-def write_bytes(path, data: bytes) -> None:
-    """Write ``data`` to ``path``; an OS-level failure is an :class:`IoError`."""
+def write_bytes(path, data) -> None:
+    """Write the bytes-like ``data`` to ``path``; an OS-level failure is an :class:`IoError`."""
     try:
         Path(path).write_bytes(data)
     except OSError as exc:
@@ -179,10 +179,12 @@ def _load_binary(path, magic):
 
 
 def _save_binary(m, path, magic):
+    """Header and little-endian payload, written from one buffer the size of the file."""
     m = _validate(m, magic)
-    header = _HEADER.pack(magic, m.shape[0], m.shape[1])
-    payload = np.ascontiguousarray(m, dtype="<f4").tobytes()
-    write_bytes(path, header + payload)
+    blob = bytearray(_HEADER.size + m.nbytes)
+    _HEADER.pack_into(blob, 0, magic, m.shape[0], m.shape[1])
+    np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(m.shape)[...] = m
+    write_bytes(path, blob)
 
 
 def load_features(path) -> np.ndarray:

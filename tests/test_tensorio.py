@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,18 @@ def test_fvec_header_layout(tmp_path):
     assert (n, d) == (2, 3)
     assert len(blob) == 12 + 2 * 3 * 4
     assert np.frombuffer(blob[12:], dtype="<f4").tolist() == m.reshape(-1).tolist()
+
+
+def test_save_distances_keeps_one_copy_of_the_payload(tmp_path):
+    m = np.random.default_rng(13).random((1000, 5000), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        save_distances(m, tmp_path / "big.dmat")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * m.nbytes, f"peak {peak / m.nbytes:.2f} x the matrix"
+    assert np.array_equal(load_distances(tmp_path / "big.dmat"), m)
 
 
 def test_bad_magic_rejected(tmp_path):
