@@ -177,10 +177,13 @@ def _jaccard_blend(vp, vx, vv, orig, lam):
             shared = np.minimum(np.repeat(vals, lens), g_val[at])
             mins[i - rows.start] = np.bincount(g_row[at], weights=shared, minlength=ng)
         maxs = row_sums[rows, None] + row_sums[None, nq:] - mins
+        # in place of mins: 1 - mins / maxs where maxs > 0, else 1, then the blend
         with np.errstate(invalid="ignore", divide="ignore"):
-            jaccard = np.where(maxs > 0.0, 1.0 - mins / maxs, 1.0)
-        blended = (1.0 - lam) * jaccard + lam * orig[rows].astype(np.float64)
-        out[rows] = np.maximum(blended, 0.0)
+            blended = np.subtract(1.0, np.divide(mins, maxs, out=mins), out=mins)
+        blended[~(maxs > 0.0)] = 1.0
+        blended *= 1.0 - lam
+        blended += lam * orig[rows].astype(np.float64)
+        out[rows] = np.maximum(blended, 0.0, out=blended)
     return out
 
 
