@@ -61,10 +61,12 @@ def l2_normalize(m: np.ndarray) -> np.ndarray:
     return (x / safe).astype(np.float32)
 
 
-def euclidean_distances64(q: np.ndarray, g: np.ndarray) -> np.ndarray:
+def euclidean_distances64(q: np.ndarray, g: np.ndarray, gg: np.ndarray | None = None) -> np.ndarray:
     """Float64 distance kernel, entry (i, j) = ||q_i - g_j||; no input checks.
 
-    Takes float64 (n, d) and (m, d) arrays.  Uses the
+    Takes float64 (n, d) and (m, d) arrays; ``gg``, when given, is
+    ``np.sum(g * g, axis=1)``, so callers that pass one g with many blocks
+    of q take it once.  Uses the
     ||q||^2 + ||g||^2 - 2 q.g expansion, which cancels for (near-)duplicate
     rows: every entry with d^2 <= 1e-10 * (||q_i||^2 + ||g_j||^2), negative
     rounding residue included, is taken again as sum((q_i - g_j)^2), so
@@ -72,7 +74,8 @@ def euclidean_distances64(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     mining all take their Euclidean distances from here.
     """
     qq = np.sum(q * q, axis=1)
-    gg = np.sum(g * g, axis=1)
+    if gg is None:
+        gg = np.sum(g * g, axis=1)
     d = qq[:, None] + gg[None, :]
     d -= 2.0 * (q @ g.T)
     # candidates against the largest ||g_j||^2 first, so the exact test
@@ -93,9 +96,10 @@ def euclidean_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances ||q_i - g_j||, rounded to float32; DataError on NaN/Inf."""
     q, g = feature_pair(q, g)
     g = g.astype(np.float64)
+    gg = np.sum(g * g, axis=1)
     out = np.empty((q.shape[0], g.shape[0]), dtype=np.float32)
     for rows in row_blocks(q.shape[0]):
-        out[rows] = euclidean_distances64(q[rows].astype(np.float64), g)
+        out[rows] = euclidean_distances64(q[rows].astype(np.float64), g, gg)
     return out
 
 

@@ -72,10 +72,11 @@ def per_sample_losses(features, meta: MetaTable, params: TripletParams = Triplet
 
     losses = np.zeros(n, dtype=np.float64)
     degenerate = 0
+    xx = np.sum(x * x, axis=1)
     for start in range(0, n, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n)
         d_pos, d_neg, _, _, has_pos, has_neg = batch_hard(
-            euclidean_distances64(x[start:stop], x), labels, start)
+            euclidean_distances64(x[start:stop], x, xx), labels, start)
         ok = has_pos & has_neg
         losses[start:stop] = np.where(ok, np.maximum(d_pos - d_neg + params.margin, 0.0), 0.0)
         degenerate += int(np.count_nonzero(~ok))

@@ -16,13 +16,17 @@ The re-ranking runs over the concatenated query+gallery set:
 7. Blend (1 - lambda) * jaccard + lambda * euclidean, query x gallery block.
 
 Memory: one (q+g) x (q+g) float32 distance matrix, which exact neighbour
-order and the row encoding read, freed once the q x g block the blend
-needs is copied out; V in sparse row form with about (q+g) * |expanded
-set| entries (local query expansion briefly holds k2 times that); and,
-for the Jaccard term and the blend, float64 arrays of one block of query
-rows by g.  Neighbour lists come from a partition to k1 over blocks of
-rows, the reciprocal sets from sorted pair keys, and the Jaccard term
-from an inverted index over gallery columns.
+order, the reciprocal test and the row encoding read, freed once the
+q x g block the blend needs is copied out; for the expansion, a bool
+bitmap of ``BLOCK_ROWS`` x (q+g) bytes; V in sparse row form with about
+(q+g) * |expanded set| entries (local query expansion briefly holds k2
+times that); and, for the Jaccard term and the blend, float64 arrays of
+one block of query rows by g.  Neighbour lists come from a partition to
+k1 over blocks of rows; the reciprocal sets from a rank test on those
+distances, p in N(x, k) exactly when (d(x, p), p) comes no later than
+x's k-th neighbour; the expanded sets from the bitmap, one block of rows
+at a time; and the Jaccard term from an inverted index over gallery
+columns.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .geometry import euclidean_distances, feature_pair, l2_normalize, row_blocks
+from .geometry import BLOCK_ROWS, euclidean_distances, feature_pair, l2_normalize, row_blocks
 
 
 @dataclass(frozen=True)
@@ -72,14 +76,6 @@ def _ranges(starts, lens):
     return np.repeat(starts - ends + lens, lens) + np.arange(int(ends[-1]) if len(ends) else 0)
 
 
-def _member(sorted_keys, keys):
-    """Whether each of ``keys`` occurs in the sorted array ``sorted_keys``."""
-    pos = np.searchsorted(sorted_keys, keys)
-    found = pos < len(sorted_keys)
-    found[found] = sorted_keys[pos[found]] == keys[found]
-    return found
-
-
 def _neighbours(dist, k):
     """The first k entries of each row's (distance, index) order, shape (n, k).
 
@@ -92,45 +88,65 @@ def _neighbours(dist, k):
     for block_rows in row_blocks(dist.shape[0]):
         block = dist[block_rows]
         kth = np.partition(block, k - 1, axis=1)[:, k - 1]
-        rows, cols = np.nonzero(block <= kth[:, None])
-        order = np.lexsort((cols, block[rows, cols], rows))
+        at = np.flatnonzero(block <= kth[:, None])
+        rows, cols = np.divmod(at, block.shape[1])
+        # ``at`` runs in (row, column) order and lexsort is stable, so equal
+        # distances keep the lower column first
+        order = np.lexsort((np.take(block, at), rows))
         rows, cols = rows[order], cols[order]
         rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
         out[block_rows] = cols[rank < k].reshape(-1, k)
     return out
 
 
-def _reciprocal_pairs(top):
+def _reciprocal_pairs(top, dist):
     """Pairs (p, x) with x in R(p, k) for the (n, k) neighbour lists ``top``.
 
-    ``p`` is sorted and each R(p, k) keeps its neighbour order.
+    ``top`` holds the first k entries of each row's (distance, index) order
+    in ``dist``, so p lies in N(x, k) exactly when (d[x, p], p) comes no
+    later than (d[x, l], l) in (distance, index) order, l being x's k-th
+    neighbour.  ``p`` is sorted and each R(p, k) keeps its neighbour order.
     """
     n, k = top.shape
     p = np.repeat(np.arange(n), k)
     x = top.ravel()
-    mutual = _member(np.sort(p * n + x), x * n + p)
+    last = top[x, k - 1]
+    d_p, d_last = dist[x, p], dist[x, last]
+    mutual = (d_p < d_last) | ((d_p == d_last) & (p <= last))
     return p[mutual], x[mutual]
 
 
-def _expanded_sets(top):
+def _expanded_sets(top, dist):
     """Pairs (p, x) of the expanded sets, sorted by p and then x.
 
-    ``top`` holds the (n, k1) neighbour lists.  The expanded set of p is
-    R(p, k1) merged with every R(c, ceil(k1/2)), c in R(p, k1), of which
-    at least 2/3 already lies in R(p, k1); the expansion runs over
-    (p, c, x) triples with x in R(c, ceil(k1/2)).
+    ``top`` holds the (n, k1) neighbour lists of ``dist``.  The expanded set
+    of p is R(p, k1) merged with every R(c, ceil(k1/2)), c in R(p, k1), of
+    which at least 2/3 already lies in R(p, k1).  One block of rows of p at
+    a time, R(p, k1) is marked in a bitmap of the block's rows by n, which
+    answers "x in R(p, k1)" for the (p, c, x) triples with x in
+    R(c, ceil(k1/2)); the accepted triples are marked too, and the set
+    entries, read back in order, are the block's pairs.
     """
     n, k1 = top.shape
-    rp, rx = _reciprocal_pairs(top)
-    hp, hx = _reciprocal_pairs(top[:, :math.ceil(k1 / 2)])
-    h_ptr = _row_ptr(hp, n)
-    r_keys = np.sort(rp * n + rx)
-    lens = np.diff(h_ptr)[rx]
-    pair = np.repeat(np.arange(len(rp)), lens)
-    keys = rp[pair] * n + hx[_ranges(h_ptr[rx], lens)]
-    hits = np.bincount(pair, weights=_member(r_keys, keys), minlength=len(rp))
-    accept = hits >= (2.0 / 3.0) * lens
-    return np.divmod(np.unique(np.concatenate([r_keys, keys[accept[pair]]])), n)
+    rp, rx = _reciprocal_pairs(top, dist)
+    hp, hx = _reciprocal_pairs(top[:, :math.ceil(k1 / 2)], dist)
+    r_ptr, h_ptr = _row_ptr(rp, n), _row_ptr(hp, n)
+    h_len = np.diff(h_ptr)
+    bitmap = np.zeros(min(BLOCK_ROWS, n) * n, dtype=bool)
+    keys = []
+    for rows in row_blocks(n):
+        block = slice(r_ptr[rows.start], r_ptr[rows.stop])
+        p, c = rp[block] - rows.start, rx[block]
+        lens = h_len[c]
+        pair = np.repeat(np.arange(len(p)), lens)
+        at = p[pair] * n + hx[_ranges(h_ptr[c], lens)]
+        bitmap[p * n + c] = True
+        hits = np.bincount(pair, weights=bitmap[at], minlength=len(p))
+        bitmap[at[(hits >= (2.0 / 3.0) * lens)[pair]]] = True
+        found = np.flatnonzero(bitmap)
+        bitmap[found] = False
+        keys.append(found + rows.start * n)
+    return np.divmod(np.concatenate(keys), n)
 
 
 def _local_query_expansion(vp, vx, vv, nb):
@@ -205,7 +221,7 @@ def k_reciprocal_rerank(q: np.ndarray, g: np.ndarray, params: RerankParams = Rer
     feats = np.vstack([q, g])
     dist = euclidean_distances(feats, feats)
     top = _neighbours(dist, params.k1)
-    vp, vx = _expanded_sets(top)
+    vp, vx = _expanded_sets(top, dist)
 
     # V: exp(-d) on the expanded sets, L1-normalized per row
     w = np.exp(-dist[vp, vx].astype(np.float64))

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,8 @@ from reidkit import (
     k_reciprocal_rerank,
     l2_normalize,
 )
-from reidkit.rerank import _neighbours
+from reidkit.geometry import BLOCK_ROWS
+from reidkit.rerank import _expanded_sets, _neighbours, _reciprocal_pairs
 
 
 def _clustered(rng, n_ids, per_id, dims, spread=0.35):
@@ -133,14 +135,51 @@ def test_rerank_matches_naive_on_hostile_inputs(seed):
 
 def test_neighbour_lists_equal_a_stable_full_sort():
     rng = np.random.default_rng(310)
-    for dist in [
-        rng.integers(0, 4, size=(300, 300)).astype(np.float64),  # heavy ties
-        rng.random((300, 300)),
-        np.zeros((300, 300)),
-    ]:
-        for k in (1, 7, 299):
-            expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
-            assert np.array_equal(_neighbours(dist, k), expected), k
+    # non-square blocks too, so indices split by the wrong dimension fail
+    for rows, cols in [(300, 300), (300, 1000), (700, 40)]:
+        for dist in [
+            rng.integers(0, 4, size=(rows, cols)).astype(np.float64),  # heavy ties
+            rng.integers(0, 3, size=(rows, cols)).astype(np.float32),
+            rng.random((rows, cols)),
+            np.zeros((rows, cols)),
+        ]:
+            for k in (1, 7, cols - 1):
+                expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+                assert np.array_equal(_neighbours(dist, k), expected), (rows, cols, k)
+
+
+def _reciprocal_lists(order, k):
+    """R(p, k) of every p in neighbour order, from the stable full sort ``order``."""
+    near = [set(row[:k].tolist()) for row in order]
+    return [[x for x in order[p, :k].tolist() if p in near[x]] for p in range(len(order))]
+
+
+@pytest.mark.parametrize("kind", ["integer grid", "duplicate rows"])
+def test_reciprocal_and_expanded_sets_equal_python_sets(kind):
+    rng = np.random.default_rng(314)
+    n = 2 * BLOCK_ROWS + 88  # three blocks of rows of p
+    if kind == "integer grid":
+        feats = rng.integers(0, 3, size=(n, 4)).astype(np.float32)
+    else:
+        feats = rng.normal(size=(n // 4, 6)).astype(np.float32)[rng.integers(0, n // 4, size=n)]
+    dist = euclidean_distances(feats, feats)
+    order = np.argsort(dist, axis=1, kind="stable")
+    for k1 in (20, 7):
+        top = order[:, :k1]
+        r_k1 = _reciprocal_lists(order, k1)
+        r_half = _reciprocal_lists(order, math.ceil(k1 / 2))
+        for k, lists in [(k1, r_k1), (math.ceil(k1 / 2), r_half)]:
+            rp, rx = _reciprocal_pairs(top[:, :k], dist)
+            assert list(zip(rp.tolist(), rx.tolist())) == [(p, x) for p in range(n) for x in lists[p]], k
+        expanded = []
+        for p in range(n):
+            grown = set(r_k1[p])
+            for c in r_k1[p]:
+                if len(set(r_half[c]) & set(r_k1[p])) >= (2.0 / 3.0) * len(r_half[c]):
+                    grown |= set(r_half[c])
+            expanded.extend((p, x) for x in sorted(grown))
+        vp, vx = _expanded_sets(top, dist)
+        assert list(zip(vp.tolist(), vx.tolist())) == expanded, k1
 
 
 @pytest.mark.parametrize("source", ["synthetic", "random"])
