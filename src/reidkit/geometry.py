@@ -3,7 +3,8 @@
 All functions are pure and accumulate in float64 before rounding the result
 to float32, so outputs are reproducible regardless of how callers
 parallelize over rows.  Query x gallery passes here and in ``rerank`` fill
-their float32 output ``BLOCK_ROWS`` query rows at a time, so their float64
+their float32 output ``BLOCK_ROWS`` query rows at a time, and the batch-hard
+pass in ``losses`` walks the same blocks of anchors, so their float64
 temporaries stay a block in size whatever the number of queries.
 """
 
@@ -21,6 +22,15 @@ BLOCK_ROWS = 256  # query rows per block of a query x gallery pass
 def row_blocks(n):
     """Slices of at most ``BLOCK_ROWS`` rows that cover ``range(n)`` in order."""
     return [slice(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
+
+
+def squared_norms(x):
+    """``np.sum(x * x, axis=1)`` taken one row block at a time, so the squared
+    copy of ``x`` is a block in size; each row sums as it would in one pass."""
+    out = np.empty(x.shape[0], dtype=x.dtype)
+    for rows in row_blocks(x.shape[0]):
+        out[rows] = np.sum(x[rows] * x[rows], axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -65,17 +75,17 @@ def euclidean_distances64(q: np.ndarray, g: np.ndarray, gg: np.ndarray | None = 
     """Float64 distance kernel, entry (i, j) = ||q_i - g_j||; no input checks.
 
     Takes float64 (n, d) and (m, d) arrays; ``gg``, when given, is
-    ``np.sum(g * g, axis=1)``, so callers that pass one g with many blocks
-    of q take it once.  Uses the
+    ``squared_norms(g)``, so callers that pass one g with many blocks of q
+    take it once.  Uses the
     ||q||^2 + ||g||^2 - 2 q.g expansion, which cancels for (near-)duplicate
     rows: every entry with d^2 <= 1e-10 * (||q_i||^2 + ||g_j||^2), negative
     rounding residue included, is taken again as sum((q_i - g_j)^2), so
     identical rows are exactly 0 apart.  Retrieval, the triplet loss and
     mining all take their Euclidean distances from here.
     """
-    qq = np.sum(q * q, axis=1)
+    qq = squared_norms(q)
     if gg is None:
-        gg = np.sum(g * g, axis=1)
+        gg = squared_norms(g)
     d = qq[:, None] + gg[None, :]
     d -= 2.0 * (q @ g.T)
     # candidates against the largest ||g_j||^2 first, so the exact test
@@ -96,7 +106,7 @@ def euclidean_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances ||q_i - g_j||, rounded to float32; DataError on NaN/Inf."""
     q, g = feature_pair(q, g)
     g = g.astype(np.float64)
-    gg = np.sum(g * g, axis=1)
+    gg = squared_norms(g)
     out = np.empty((q.shape[0], g.shape[0]), dtype=np.float32)
     for rows in row_blocks(q.shape[0]):
         out[rows] = euclidean_distances64(q[rows].astype(np.float64), g, gg)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BatchError, ConfigError
-from .geometry import euclidean_distances64
+from .errors import BatchError, ConfigError, DataError
+from .geometry import euclidean_distances64, row_blocks, squared_norms
 
 _EXP_CLIP = 700.0  # exp overflow guard for the log-domain path
 
@@ -69,33 +69,46 @@ def _validate_batch(embeddings, labels):
         )
     if x.shape[0] < 2:
         raise BatchError("batch needs at least 2 samples")
+    if not np.all(np.isfinite(x)):
+        raise DataError("embeddings contain NaN or Inf")
     return x, labels
 
 
-def batch_hard(dist, labels, start=0):
-    """Hardest positive and nearest negative of a block of anchors.
+def batch_hard(x, labels):
+    """Hardest positive and nearest negative of every row of ``x`` as anchor.
 
-    ``dist`` holds the rows of anchors ``start, start+1, ...`` against all
-    samples, whose labels are ``labels``; an anchor's own column is not a
-    positive.  The lowest index wins ties.  Returns ``(d_pos, d_neg,
-    pos_idx, neg_idx, has_pos, has_neg)``; where ``has_pos`` (``has_neg``)
-    is False the anchor has no positive (negative) and the matching value
-    and index are meaningless.
+    ``x`` is float64 (n, d) with one label per row; an anchor is not its own
+    positive, and the lowest index wins ties.  Anchors go one
+    ``geometry.row_blocks`` block at a time through ``euclidean_distances64``
+    with the squared norms taken once, so one block of distances is alive
+    at a time and no n x n matrix is made.  Returns ``(d_pos, d_neg,
+    pos_idx, neg_idx, has_pos, has_neg)``, n-vectors each; where ``has_pos``
+    (``has_neg``) is False the anchor has no positive (negative) and the
+    matching value and index are meaningless.
     """
-    rows = np.arange(dist.shape[0])
-    pos_mask = labels[start:start + rows.size, None] == labels[None, :]
-    neg_mask = ~pos_mask
-    pos_mask[rows, start + rows] = False
-    pos_idx = np.argmax(np.where(pos_mask, dist, -np.inf), axis=1)
-    neg_idx = np.argmin(np.where(neg_mask, dist, np.inf), axis=1)
-    return (dist[rows, pos_idx], dist[rows, neg_idx], pos_idx, neg_idx,
-            pos_mask.any(axis=1), neg_mask.any(axis=1))
+    n = x.shape[0]
+    d_pos, d_neg = np.empty(n), np.empty(n)
+    pos_idx, neg_idx = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    has_pos, has_neg = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    xx = squared_norms(x)
+    for rows in row_blocks(n):
+        dist = euclidean_distances64(x[rows], x, xx)
+        at = np.arange(dist.shape[0])
+        pos_mask = labels[rows, None] == labels[None, :]
+        neg_mask = ~pos_mask
+        pos_mask[at, rows.start + at] = False
+        pos_idx[rows] = np.argmax(np.where(pos_mask, dist, -np.inf), axis=1)
+        neg_idx[rows] = np.argmin(np.where(neg_mask, dist, np.inf), axis=1)
+        d_pos[rows] = dist[at, pos_idx[rows]]
+        d_neg[rows] = dist[at, neg_idx[rows]]
+        has_pos[rows] = pos_mask.any(axis=1)
+        has_neg[rows] = neg_mask.any(axis=1)
+    return d_pos, d_neg, pos_idx, neg_idx, has_pos, has_neg
 
 
 def _batch_hard_or_raise(x, labels):
     """:func:`batch_hard` over a whole batch; BatchError names a lacking label."""
-    d_pos, d_neg, pos_idx, neg_idx, has_pos, has_neg = batch_hard(
-        euclidean_distances64(x, x), labels)
+    d_pos, d_neg, pos_idx, neg_idx, has_pos, has_neg = batch_hard(x, labels)
     for found, what in ((has_pos, "positive pair"), (has_neg, "negative")):
         if not found.all():
             bad = labels[np.argmin(found)]

@@ -14,12 +14,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
-from .geometry import euclidean_distances64
+from .errors import ConfigError, DataError, ShapeError
 from .losses import TripletParams, batch_hard
 from .tensorio import MetaTable, write_csv
-
-_BLOCK_ROWS = 1024  # anchors per distance block; keeps memory flat at scale
 
 
 class SampleClass(Enum):
@@ -62,24 +59,23 @@ def per_sample_losses(features, meta: MetaTable, params: TripletParams = Triplet
 
     Samples that lack a positive (singleton identity) or a negative (single
     identity in the whole table) get loss 0 and trigger a RuntimeWarning.
-    Computed in row blocks, so the full n x n matrix never materializes.
+    The hardest pairs come from ``losses.batch_hard``, the selector the
+    triplet loss uses, so the full n x n matrix never materializes.  Raises
+    ShapeError unless ``features`` is 2-D and DataError on NaN or Inf.
     """
     x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError(f"features must be 2-D, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("features contain NaN or Inf")
     n = x.shape[0]
     if len(meta) != n:
         raise ConfigError(f"metadata length {len(meta)} does not match {n} features")
-    labels = meta.person_ids
 
-    losses = np.zeros(n, dtype=np.float64)
-    degenerate = 0
-    xx = np.sum(x * x, axis=1)
-    for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        d_pos, d_neg, _, _, has_pos, has_neg = batch_hard(
-            euclidean_distances64(x[start:stop], x, xx), labels, start)
-        ok = has_pos & has_neg
-        losses[start:stop] = np.where(ok, np.maximum(d_pos - d_neg + params.margin, 0.0), 0.0)
-        degenerate += int(np.count_nonzero(~ok))
+    d_pos, d_neg, _, _, has_pos, has_neg = batch_hard(x, meta.person_ids)
+    ok = has_pos & has_neg
+    losses = np.where(ok, np.maximum(d_pos - d_neg + params.margin, 0.0), 0.0)
+    degenerate = int(np.count_nonzero(~ok))
     if degenerate:
         warnings.warn(
             f"{degenerate} sample(s) lack a positive or negative pair; assigned loss 0",
@@ -146,15 +142,9 @@ def balanced_resample_plan(meta: MetaTable, target: int = 20, max_copies: int = 
         k = len(indices)
         if k >= target:
             continue
-        achievable = min(target, k * (1 + max_copies))
-        need = achievable - k
-        counts = [0] * k
-        slot = 0
-        while need > 0:
-            counts[slot % k] += 1
-            slot += 1
-            need -= 1
-        for idx, c in zip(indices, counts):
+        need = min(target, k * (1 + max_copies)) - k
+        for i, idx in enumerate(indices):
+            c = need // k + (i < need % k)
             if c > 0:
                 copies[idx] = c
     return ResamplePlan(copies=sorted(copies.items()))

@@ -13,6 +13,7 @@ from reidkit import (
     CircleParams,
     CombinedParams,
     ConfigError,
+    DataError,
     TripletParams,
     circle_loss,
     combined_loss,
@@ -89,6 +90,17 @@ def test_triplet_batch_errors_name_the_label():
         triplet_loss_batch_hard(x, np.array([0, 0]))  # label length mismatch
     with pytest.raises(ConfigError):
         triplet_loss_batch_hard(x[:2], np.array([0, 0]), TripletParams(margin=-0.1))
+
+
+@pytest.mark.parametrize("fn", [triplet_loss_batch_hard, circle_loss, combined_loss, loss_gradient])
+def test_losses_reject_non_finite_embeddings(fn):
+    x = np.arange(8, dtype=np.float64).reshape(4, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[1, 0] = bad
+        with pytest.raises(DataError) as err:
+            fn(y, np.array([0, 0, 1, 1]))
+        assert err.value.exit_code == 3
 
 
 def test_circle_matches_naive_direct_formula():

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from naive_reference import naive_triplet
 from reidkit import (
     ConfigError,
+    DataError,
     MetaTable,
     MiningThresholds,
     SampleClass,
     SampleMeta,
+    ShapeError,
     TripletParams,
     balanced_resample_plan,
     partition_samples,
@@ -16,6 +20,7 @@ from reidkit import (
     thresholds_from_quantiles,
     triplet_loss_batch_hard,
 )
+from reidkit.geometry import BLOCK_ROWS
 
 
 def _meta(labels):
@@ -48,23 +53,50 @@ def test_per_sample_losses_known_values():
     assert losses[0] == pytest.approx(4.0 - 0.5 + 0.4, abs=1e-12)
 
 
-def test_per_sample_losses_blocking_agrees_with_single_block():
-    # more rows than the internal block size would be slow here; instead
-    # check the blocked path on a size that spans several blocks of 1024
-    # via monkeypatching the module constant
-    import reidkit.mining as mining
+def test_per_sample_losses_over_several_row_blocks():
+    # 600 anchors span three row blocks; an integer grid gives exactly tied
+    # distances, and every grid point appears twice.  A far singleton in the
+    # last block must get no positive, not even itself.
+    grid = np.array([[i % 10, i // 10 % 6, i // 60] for i in range(300)], dtype=np.float64)
+    x = np.concatenate([grid, grid[::-1], [[50.0, 50.0, 50.0]]])
+    labels = np.append(np.arange(600) % 7, 7)
+    assert 600 > 2 * BLOCK_ROWS
+    with pytest.warns(RuntimeWarning, match="^1 sample"):
+        losses = per_sample_losses(x, _meta(labels))
+    assert losses[600] == 0.0
+    x, labels, losses = x[:600], labels[:600], losses[:600]
+    assert np.array_equal(losses, triplet_loss_batch_hard(x, labels)[1])
+    assert np.allclose(losses, naive_triplet(x.tolist(), labels.tolist(), 0.4)[1], atol=1e-9)
 
-    rng = np.random.default_rng(32)
-    labels = np.repeat(np.arange(6), 4)
-    x = rng.normal(size=(labels.size, 5))
-    full = per_sample_losses(x, _meta(labels))
-    old = mining._BLOCK_ROWS
+
+def test_per_sample_losses_peak_memory_is_a_few_row_blocks():
+    # float32 features, as the mining pass gets them: the float64 copy plus
+    # a few BLOCK_ROWS x n float64 blocks, and no n x d float64 temporary
+    n, d = 3000, 256
+    x = np.random.default_rng(33).normal(size=(n, d)).astype(np.float32)
+    meta = _meta(np.arange(n) % 50)
+    tracemalloc.start()
     try:
-        mining._BLOCK_ROWS = 5
-        blocked = per_sample_losses(x, _meta(labels))
+        per_sample_losses(x, meta)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        mining._BLOCK_ROWS = old
-    assert np.array_equal(full, blocked)
+        tracemalloc.stop()
+    assert peak <= n * d * 8 + 4 * BLOCK_ROWS * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_per_sample_losses_rejects_bad_features():
+    meta = _meta([0, 0, 1, 1])
+    x = np.arange(8, dtype=np.float64).reshape(4, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[2, 1] = bad
+        with pytest.raises(DataError) as err:
+            per_sample_losses(y, meta)
+        assert err.value.exit_code == 3
+    for shape in ((4,), (4, 2, 1)):
+        with pytest.raises(ShapeError) as err:
+            per_sample_losses(np.zeros(shape), meta)
+        assert err.value.exit_code == 3
 
 
 def test_degenerate_samples_warn_and_get_zero():
