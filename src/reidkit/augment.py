@@ -1,10 +1,11 @@
 """Pixel-level augmentations on raw RGB buffers.
 
 Images are (H, W, 3) uint8 arrays, row-major interleaved RGB.  All
-randomized ops take an explicit generator from :func:`make_rng`, which is
-Philox-based (counter RNG) so the same seed reproduces the same bytes on
-any platform.  The draw order inside each op is fixed and documented in
-its docstring; golden-image tests depend on it.
+randomized ops take an explicit generator from
+:func:`reidkit.synthetic.make_rng`, which is Philox-based (counter RNG) so
+the same seed reproduces the same bytes on any platform.  The draw order
+inside each op is fixed and documented in its docstring; golden-image tests
+depend on it.
 
 Images travel through the CLI as binary PPM (P6, maxval 255).
 """
@@ -66,16 +67,6 @@ class Rect:
     width: int
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Seeded Philox generator; identical seeds give identical streams.
-
-    The seed must be a non-negative integer (ConfigError otherwise).
-    """
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def _check_image(img) -> np.ndarray:
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[2] != 3:
@@ -86,9 +77,17 @@ def _check_image(img) -> np.ndarray:
 
 
 def horizontal_flip(img: np.ndarray) -> np.ndarray:
-    """Mirror columns: output column j is input column W-1-j."""
+    """Mirror columns: output column j is input column W-1-j.
+
+    Returns a new C-ordered image whatever the input's layout.  Each channel
+    is copied on its own, so the reversed copy moves single bytes along a
+    row instead of 3-byte pixels.
+    """
     img = _check_image(img)
-    return np.ascontiguousarray(img[:, ::-1, :])
+    out = np.empty(img.shape, np.uint8)
+    for ch in range(3):
+        out[:, :, ch] = img[:, ::-1, ch]
+    return out
 
 
 def _sample_region(rng, height, width, p):

@@ -36,7 +36,7 @@ from .mining import (
 )
 from .pipeline import PipelineConfig, config_from_mapping, field_default, load_config, run_pipeline
 from .rerank import AqeParams, RerankParams, aqe_expand, ensemble_distances, k_reciprocal_rerank
-from .synthetic import SynthParams, generate_synthetic, split_query_gallery
+from .synthetic import SynthParams, generate_synthetic, make_rng, split_query_gallery
 
 # Fields whose flag is not named after the field.
 _FLAG_NAMES = {"cluster_spread": "--spread", "lam": "--lambda"}
@@ -259,7 +259,7 @@ def _add_augment(sub):
 
 def _cmd_augment(args):
     img = aug.load_ppm(args.input)
-    rng = aug.make_rng(args.seed)
+    rng = make_rng(args.seed)
     if args.op == "flip":
         aug.save_ppm(aug.horizontal_flip(img), args.out)
         print(f"wrote {args.out}")

@@ -3,9 +3,10 @@
 All functions are pure and accumulate in float64 before rounding the result
 to float32, so outputs are reproducible regardless of how callers
 parallelize over rows.  Query x gallery passes here and in ``rerank`` fill
-their float32 output ``BLOCK_ROWS`` query rows at a time, and the batch-hard
-pass in ``losses`` walks the same blocks of anchors, so their float64
-temporaries stay a block in size whatever the number of queries.
+their float32 output ``BLOCK_ROWS`` query rows at a time, the batch-hard
+pass in ``losses`` walks the same blocks of anchors and GeM pooling the
+same blocks of pixel rows, so their float64 temporaries stay a block in
+size whatever the number of queries or pixels.
 """
 
 from __future__ import annotations
@@ -149,14 +150,33 @@ def gem_pool(fmap: np.ndarray, params: GemParams = GemParams()) -> np.ndarray:
 
     Per channel: ((1/(H*W)) sum x^p)^(1/p).  The map is rescaled by its
     channel maximum internally, so large exponents do not overflow.
+    Raises DataError on negative, NaN or Inf activations.
+
+    The H*W pixel rows are scaled and raised to p ``BLOCK_ROWS`` at a time
+    in one float64 buffer of (block + 1) x C whose row 0 carries the running
+    sum, so for C >= 2 the rows add in the order of a whole-map ``np.mean``
+    over (H, W) (for C = 1 numpy adds pairwise, here within each block).
+    The channel peaks are taken in the map's own dtype; a map that is not
+    C-ordered is copied once, also in its own dtype.
     """
     fmap = np.asarray(fmap)
     if fmap.ndim != 3:
         raise ShapeError(f"feature map must be (H, W, C), got shape {fmap.shape}")
     if np.any(fmap < 0):
         raise DataError("feature map contains negative activations")
-    x = fmap.astype(np.float64)
-    peak = x.max(axis=(0, 1))
+    n = fmap.shape[0] * fmap.shape[1]
+    flat = fmap.reshape(n, fmap.shape[2])
+    peak = flat.max(axis=0)
+    if not np.isfinite(peak).all():
+        raise DataError("feature map contains NaN or Inf")
+    peak = peak.astype(np.float64)
     safe = np.where(peak == 0.0, 1.0, peak)
-    pooled = peak * np.mean((x / safe) ** params.p, axis=(0, 1)) ** (1.0 / params.p)
+    buf = np.empty((min(n, BLOCK_ROWS) + 1, flat.shape[1]))
+    for rows in row_blocks(n):
+        top = 1 + rows.stop - rows.start
+        block = np.divide(flat[rows], safe, out=buf[1:top])
+        block **= params.p
+        # row 0 holds the sum of the blocks before; the first block has none
+        buf[0] = np.add.reduce(buf[0 if rows.start else 1:top], axis=0)
+    pooled = peak * (buf[0] / n) ** (1.0 / params.p)
     return pooled.astype(np.float32)

@@ -13,9 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import make_rng
 from .errors import ConfigError
 from .tensorio import MetaTable, SampleMeta
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Seeded Philox generator; identical seeds give identical streams.
+
+    The seed must be a non-negative integer (ConfigError otherwise).
+    """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))
 
 
 @dataclass(frozen=True)
@@ -44,11 +53,12 @@ def generate_synthetic(params: SynthParams):
     Draw order: per identity one center then its sample block, finally the
     relabeling choices.  Camera tags alternate 0/1 within each identity so
     the same-camera exclusion path stays exercisable.  The relabel count is
-    round(noise_frac * n).
+    round(noise_frac * n).  Each sample block is drawn in float64 and
+    rounded straight into the float32 features.
     """
     rng = make_rng(params.seed)
     n = params.n_ids * params.per_id
-    features = np.empty((n, params.dims), dtype=np.float64)
+    features = np.empty((n, params.dims), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)
     for pid in range(params.n_ids):
         center = rng.normal(0.0, 1.0, params.dims)
@@ -79,7 +89,7 @@ def generate_synthetic(params: SynthParams):
                 camera_id=j % 2,
             )
         )
-    return features.astype(np.float32), MetaTable(entries)
+    return features, MetaTable(entries)
 
 
 def split_query_gallery(features, meta: MetaTable, query_per_id: int):

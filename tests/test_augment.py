@@ -33,6 +33,14 @@ def test_flip_reverses_columns_and_is_involution():
         assert np.array_equal(horizontal_flip(flipped), img)
 
 
+def test_flip_is_c_ordered_whatever_the_input_layout():
+    img = _random_image(np.random.default_rng(43), 9, 14)
+    for view in (img, np.asfortranarray(img), img[::2, 1::3]):
+        flipped = horizontal_flip(view)
+        assert flipped.flags.c_contiguous and flipped.dtype == np.uint8
+        assert np.array_equal(flipped, view[:, ::-1])
+
+
 def test_flip_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         horizontal_flip(np.zeros((4, 4), dtype=np.uint8))

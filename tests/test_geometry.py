@@ -192,7 +192,61 @@ def test_gem_rejects_bad_inputs():
         gem_pool(fmap - 2.0, GemParams(p=2.0))
     with pytest.raises(ShapeError):
         gem_pool(np.ones((2, 2)), GemParams())
+    for bad in (np.nan, np.inf):
+        broken = fmap.copy()
+        broken[1, 0, 1] = bad
+        with pytest.raises(DataError):
+            gem_pool(broken, GemParams())
 
 
 def test_gem_all_zero_map():
     assert np.array_equal(gem_pool(np.zeros((3, 3, 2)), GemParams(p=3.0)), np.zeros(2))
+
+
+def _whole_map_gem(fmap, p):
+    """GeM over the whole map in one float64 pass: the exact reference."""
+    x = np.asarray(fmap).astype(np.float64)
+    peak = x.max(axis=(0, 1))
+    safe = np.where(peak == 0.0, 1.0, peak)
+    return (peak * np.mean((x / safe) ** p, axis=(0, 1)) ** (1.0 / p)).astype(np.float32)
+
+
+def _gem_maps():
+    rng = np.random.default_rng(21)
+    # h*w of 1, 255, 256, 257 and 600 pixel rows: one block, one block
+    # exactly full, one row over, and three blocks
+    for shape in [(1, 1, 5), (15, 17, 4), (16, 16, 3), (257, 1, 6), (20, 30, 2), (2, 300, 3)]:
+        yield rng.uniform(0.0, 2.0, shape).astype(np.float32)
+    yield rng.integers(0, 1000, (16, 16, 5))
+    yield rng.uniform(0.0, 2.0, (20, 13, 4)).astype(np.float16)
+    yield rng.uniform(0.0, 2.0, (30, 20, 4))
+    yield np.zeros((17, 17, 3), dtype=np.float32)
+    signed = rng.uniform(0.0, 2.0, (30, 20, 4)).astype(np.float32)
+    signed[:, :, 0] = -0.0
+    signed[:, :, 1] = 0.0
+    signed[::2, :, 2] = -0.0
+    signed[1::2, :, 2] = 0.0
+    yield signed
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 16.0, 100.0])
+def test_gem_blocks_equal_the_whole_map_formula(p):
+    for fmap in _gem_maps():
+        want = _whole_map_gem(fmap, p)
+        got = gem_pool(fmap, GemParams(p=p))
+        assert got.dtype == np.float32 and got.shape == want.shape
+        # bit patterns, so the sign of zero counts too
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (fmap.shape, fmap.dtype)
+
+
+def test_gem_float64_peak_stays_within_a_few_blocks():
+    fmap = np.random.default_rng(22).uniform(0.0, 1.0, (64, 64, 256)).astype(np.float32)
+    gem_pool(fmap)
+    tracemalloc.start()
+    try:
+        gem_pool(fmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    unit = (BLOCK_ROWS + 1) * fmap.shape[2] * 8
+    assert peak <= 4 * unit, f"peak {peak / unit:.2f} x (BLOCK_ROWS + 1) * C * 8"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,3 +114,14 @@ def test_split_validation():
         split_query_gallery(features, meta, 0)
     with pytest.raises(ConfigError):
         split_query_gallery(features, meta, 3)  # leaves the gallery empty
+
+
+def test_features_are_filled_without_a_float64_copy():
+    params = SynthParams(n_ids=100, per_id=20, dims=512, seed=4)
+    tracemalloc.start()
+    try:
+        features, _ = generate_synthetic(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * features.nbytes, f"peak {peak / features.nbytes:.2f} x the features"
