@@ -10,10 +10,10 @@ AP per query is the mean of i / r_i over its matches, where r_i is the
 1-based rank of the i-th match in the (possibly camera-filtered) list;
 CMC[k] is the fraction of valid queries with a match in the top k.  Lists
 are ranked in ascending (distance, index) order.  AP and CMC only need the
-places of a query's matches and junk items in that list, so
-``evaluate_distances`` reads them straight from the distances without
-ranking the gallery; ``evaluate`` reads them from a given ranking.  Both
-feed one AP/CMC loop.
+places of a query's matches and junk items in that list: one row at a
+time, ``evaluate_distances`` reads them straight from the distances and
+``evaluate`` from a given ranking, for (query, gallery) pairs built once
+per call.  One pass over all pairs then scores every query, with no loop.
 """
 
 from __future__ import annotations
@@ -76,50 +76,55 @@ def _check_layout(matrix, what, query_meta, gallery_meta, topk):
         raise ConfigError(f"topk must be >= 1, got {topk}")
 
 
-def _score(places, query_meta, gallery_meta, exclude_same_camera, topk) -> EvalReport:
-    """The AP/CMC loop over all queries.
-
-    ``places(i, items)`` returns the 0-based places of the gallery indices
-    ``items`` in query i's full ranked list.  It runs for every query,
-    skipped ones included, so it can also validate each row.
-    """
+def _pairs(query_meta, gallery_meta):
+    """Flat (query, gallery) index pairs of each query's same-person gallery
+    items, in query then gallery order; query i holds pairs bounds[i]:bounds[i + 1]."""
     g_pids = gallery_meta.person_ids
-    g_cams = gallery_meta.camera_ids
     by_person = np.argsort(g_pids, kind="stable")
-    ids, starts = np.unique(g_pids[by_person], return_index=True)
-    galleries = dict(zip(ids.tolist(), np.split(by_person, starts[1:])))
-    nobody = by_person[:0]
+    g_pids = g_pids[by_person]
+    first = g_pids.searchsorted(query_meta.person_ids, "left")
+    count = g_pids.searchsorted(query_meta.person_ids, "right") - first
+    bounds = np.concatenate(([0], np.cumsum(count)))
+    qi = np.repeat(np.arange(count.size), count)
+    gj = by_person[np.arange(qi.size) + np.repeat(first - bounds[:-1], count)]
+    return qi, gj, bounds.tolist()
 
-    aps = []
-    first_match_ranks = []
-    skipped = 0
-    for i, q in enumerate(query_meta):
-        items = galleries.get(q.person_id, nobody)
-        at = places(i, items)
-        junk = (g_cams[items] == q.camera_id) & exclude_same_camera
-        hits = at[~junk]
-        if hits.size == 0:
-            skipped += 1
-            continue
-        hits.sort()
-        junk_at = at[junk]
-        junk_at.sort()
-        # junk ranked ahead of a match leaves the list and moves the match up
-        hits -= junk_at.searchsorted(hits)
-        # the same pairwise sum and division as np.mean, without its per-call overhead
-        aps.append((np.arange(1, hits.size + 1) / (hits + 1.0)).sum() / hits.size)
-        first_match_ranks.append(hits[0] + 1)
 
-    if not aps:
+def _score(qi, gj, at, query_meta, gallery_meta, exclude_same_camera, topk) -> EvalReport:
+    """AP and CMC of all queries; at[k] is the 0-based place of gj[k] in query qi[k]'s list.
+
+    Sorting the keys ``query * ng + place`` orders each query's matches and
+    junk by rank.  The AP sums run over (queries, h) blocks of the queries
+    with h matches; numpy sums each block row as it sums those h ratios in
+    1-D, so every AP equals that of a per-query loop bit for bit.
+    """
+    ng = len(gallery_meta)
+    key = qi * ng + at
+    junk = (gallery_meta.camera_ids[gj] == query_meta.camera_ids[qi]) & exclude_same_camera
+    hits = np.sort(key[~junk])
+    junk_keys = np.sort(key[junk])
+    # junk of the same query ranked ahead of a match leaves the list and moves the match up
+    place = hits % ng
+    place -= junk_keys.searchsorted(hits) - junk_keys.searchsorted(hits - place)
+    counts = np.unique(hits // ng, return_counts=True)[1]
+    if counts.size == 0:
         raise EvalError("every query was skipped (no potential matches)")
 
-    first = np.asarray(first_match_ranks)
+    starts = np.cumsum(counts) - counts
+    # match n of a query (1-based) over its rank
+    ratio = (np.arange(1, hits.size + 1) - np.repeat(starts, counts)) / (place + 1.0)
+    aps = np.empty(counts.size)
+    for h in np.unique(counts).tolist():
+        of_h = np.flatnonzero(counts == h)
+        aps[of_h] = ratio[starts[of_h, None] + np.arange(h)].sum(axis=1) / h
+
+    first = place[starts] + 1
     cmc = np.array([(first <= k).mean() for k in range(1, topk + 1)])
     return EvalReport(
         map=float(np.mean(aps)),
         cmc=cmc,
-        n_valid_queries=len(aps),
-        n_skipped=skipped,
+        n_valid_queries=aps.size,
+        n_skipped=len(query_meta) - aps.size,
     )
 
 
@@ -145,18 +150,18 @@ def evaluate(
     ):
         raise DataError(f"ranking must hold integer gallery indices in [0, {ng})")
 
+    qi, gj, bounds = _pairs(query_meta, gallery_meta)
+    at = np.empty_like(gj)
     inverse = np.empty(ng, dtype=np.intp)
     slots = np.arange(ng)
-
-    def places(i, items):
+    for i, row in enumerate(ranking):
         # one O(ng) scatter: an in-range row that fills every slot is a permutation
         inverse.fill(-1)
-        inverse[ranking[i]] = slots
+        inverse[row] = slots
         if (inverse < 0).any():
             raise DataError(f"ranking row {i} repeats a gallery index, so it is not a permutation")
-        return inverse[items]
-
-    return _score(places, query_meta, gallery_meta, exclude_same_camera, topk)
+        at[bounds[i]:bounds[i + 1]] = inverse[gj[bounds[i]:bounds[i + 1]]]
+    return _score(qi, gj, at, query_meta, gallery_meta, exclude_same_camera, topk)
 
 
 def evaluate_distances(
@@ -168,29 +173,29 @@ def evaluate_distances(
 ) -> EvalReport:
     """mAP and CMC of a distance matrix, equal to ``evaluate(rank_gallery(distances), ...)``.
 
-    No ranking is built.  Per query row, one value-only sort gives the
-    place of each match or junk item j: the number of strictly smaller
-    distances (a ``searchsorted``) plus the number of equal distances at
-    lower indices.  That count orders only the members of the tied runs,
-    so a row costs O(ng log ng) however many items share one value.
-    Raises ConfigError on a shape mismatch and DataError on a NaN distance.
+    No ranking is built.  Per row, one value-only sort gives the place of
+    the gallery item j of each of the row's ``_pairs``: the number of strictly
+    smaller distances (a ``searchsorted``) plus the number of equal distances
+    at lower indices, which orders only the members of tied runs, so a row
+    costs O(ng log ng) however many items share one value.  Raises
+    ConfigError on a shape mismatch and DataError on a NaN in any row.
     """
     distances = np.asarray(distances)
     _check_layout(distances, "distance matrix", query_meta, gallery_meta, topk)
 
-    def places(i, items):
-        row = distances[i]
+    qi, gj, bounds = _pairs(query_meta, gallery_meta)
+    at = np.empty_like(gj)
+    for i, row in enumerate(distances):
         ordered = np.sort(row)  # NaN sorts last
         if ordered.size and np.isnan(ordered[-1]):
             raise DataError(f"distance matrix contains NaN (row {i})")
-        values = row[items]
-        at = np.searchsorted(ordered, values, "left")
-        tied = np.searchsorted(ordered, values, "right") - at > 1
+        pairs = slice(bounds[i], bounds[i + 1])
+        values = row[gj[pairs]]
+        at[pairs] = ordered.searchsorted(values, "left")
+        tied = ordered.searchsorted(values, "right") - at[pairs] > 1
         if tied.any():
-            at[tied] += _equal_before(row, items[tied])
-        return at
-
-    return _score(places, query_meta, gallery_meta, exclude_same_camera, topk)
+            at[pairs][tied] += _equal_before(row, gj[pairs][tied])
+    return _score(qi, gj, at, query_meta, gallery_meta, exclude_same_camera, topk)
 
 
 def _equal_before(row, items):

@@ -150,7 +150,8 @@ def gem_pool(fmap: np.ndarray, params: GemParams = GemParams()) -> np.ndarray:
 
     Per channel: ((1/(H*W)) sum x^p)^(1/p).  The map is rescaled by its
     channel maximum internally, so large exponents do not overflow.
-    Raises DataError on negative, NaN or Inf activations.
+    Raises ShapeError on a map with no pixels and DataError on negative,
+    NaN or Inf activations, checked on the channel minima and peaks.
 
     The H*W pixel rows are scaled and raised to p ``BLOCK_ROWS`` at a time
     in one float64 buffer of (block + 1) x C whose row 0 carries the running
@@ -162,10 +163,13 @@ def gem_pool(fmap: np.ndarray, params: GemParams = GemParams()) -> np.ndarray:
     fmap = np.asarray(fmap)
     if fmap.ndim != 3:
         raise ShapeError(f"feature map must be (H, W, C), got shape {fmap.shape}")
-    if np.any(fmap < 0):
-        raise DataError("feature map contains negative activations")
     n = fmap.shape[0] * fmap.shape[1]
+    if n == 0:
+        raise ShapeError(f"feature map has no pixels, got shape {fmap.shape}")
     flat = fmap.reshape(n, fmap.shape[2])
+    # a NaN minimum is not below 0, so NaN falls through to the peak check
+    if (flat.min(axis=0) < 0).any():
+        raise DataError("feature map contains negative activations")
     peak = flat.max(axis=0)
     if not np.isfinite(peak).all():
         raise DataError("feature map contains NaN or Inf")

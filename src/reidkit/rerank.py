@@ -275,8 +275,8 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
     entries first (a constant matrix maps to all zeros), with bounds taken
     once per input over the whole matrix.  The sum runs in float64, one
     block of rows at a time, straight into the float32 result: besides
-    that result, only a float64 total and one scaled input, each a block
-    of rows in size, are alive.
+    that result, only a float64 total and a scaled input, each a block of
+    rows in size and allocated once per call, are alive.
     """
     mats = [np.asarray(m) for m in matrices]
     if not mats:
@@ -290,14 +290,18 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
     # float64 bounds: hi - lo taken in float32 would round differently
     bounds = [(np.float64(m.min()), np.float64(m.max())) if normalize else None for m in mats]
     out = np.empty(shape, dtype=np.float32)
+    # reused by every block, so two blocks' temporaries are never alive at once
+    total_buf = np.empty((min(shape[0], BLOCK_ROWS), shape[1]))
+    scaled_buf = np.empty_like(total_buf) if normalize else None
     for rows in row_blocks(shape[0]):
-        total = np.zeros((rows.stop - rows.start, shape[1]), dtype=np.float64)
+        total = total_buf[:rows.stop - rows.start]
+        total.fill(0.0)
         for m, bound in zip(mats, bounds):
             if bound is None:
                 total += m[rows]
             elif bound[1] > bound[0]:
                 lo, hi = bound
-                scaled = np.subtract(m[rows], lo, dtype=np.float64)
+                scaled = np.subtract(m[rows], lo, dtype=np.float64, out=scaled_buf[:len(total)])
                 scaled /= hi - lo
                 total += scaled
         out[rows] = total

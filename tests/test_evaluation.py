@@ -211,6 +211,9 @@ def test_evaluate_rejects_rankings_that_are_not_permutations():
     for ranking in bad.values():
         with pytest.raises(DataError):
             evaluate(ranking, qmeta, gmeta)
+    # rows 1 and 2 both repeat an index: the error names the first of them
+    with pytest.raises(DataError, match="ranking row 1 "):
+        evaluate(np.array([[0, 1, 2], [1, 1, 0], [2, 2, 0]]), _meta([1, 2, 3]), gmeta)
 
 
 def test_naive_ap_agrees_with_hand_case():
@@ -259,8 +262,23 @@ def _ranked(d, qmeta, gmeta, **kwargs):
     return evaluate(rank_gallery(d), qmeta, gmeta, **kwargs)
 
 
+def _loop_map(d, q_pids, q_cams, g_pids, g_cams, exclude):
+    """mAP by a per-query loop: each AP one 1-D numpy sum over its matches,
+    then the mean over the valid queries in query order."""
+    g_pids, g_cams = np.asarray(g_pids), np.asarray(g_cams)
+    aps = []
+    for i, order in enumerate(np.argsort(d, axis=1, kind="stable")):
+        match = g_pids[order] == q_pids[i]
+        junk = match & (g_cams[order] == q_cams[i]) & exclude
+        hits = np.flatnonzero(match[~junk])
+        if hits.size:
+            aps.append((np.arange(1, hits.size + 1) / (hits + 1.0)).sum() / hits.size)
+    return np.mean(aps)
+
+
 def _assert_scores_agree(d, q_pids, q_cams, g_pids, g_cams, topk=10):
-    """evaluate_distances equals the ranking path and the naive oracle, camera filter on and off."""
+    """evaluate_distances equals the ranking path and the naive oracle, camera filter
+    on and off, and its mAP equals a per-query loop's bit for bit."""
     qmeta, gmeta = _meta(q_pids, q_cams), _meta(g_pids, g_cams)
     for exclude in (False, True):
         kwargs = dict(exclude_same_camera=exclude, topk=topk)
@@ -273,7 +291,7 @@ def _assert_scores_agree(d, q_pids, q_cams, g_pids, g_cams, topk=10):
             continue
         got = evaluate_distances(d, qmeta, gmeta, **kwargs)
         ranked = _ranked(d, qmeta, gmeta, **kwargs)
-        assert got.map == ranked.map
+        assert got.map == ranked.map == _loop_map(d, q_pids, q_cams, g_pids, g_cams, exclude)
         assert np.array_equal(got.cmc, ranked.cmc)
         assert (got.n_valid_queries, got.n_skipped) == (ranked.n_valid_queries, ranked.n_skipped)
         ref_map, ref_cmc, ref_valid, ref_skipped = ref
@@ -297,6 +315,11 @@ def test_evaluate_distances_equals_the_ranking_path_on_floats(dtype):
         np.full((6, 30), 0.25),  # constant rows
         rng.choice([-0.0, 0.0, 1.0], size=(10, 30)),
         rng.choice([-np.inf, np.inf, -7.5, -1.0, 0.0, 2.0], size=(10, 30)),
+        # about 15 and 300 matches per query (half with the camera filter), so the
+        # AP sums take numpy's 8-way unrolled and its recursive pairwise branches
+        rng.normal(size=(8, 60)),
+        rng.normal(size=(5, 1200)),
+        np.round(rng.normal(size=(5, 1200)), 1),
     ):
         _assert_scores_agree(d.astype(dtype), *_random_meta(rng, *d.shape))
 
@@ -334,8 +357,11 @@ def test_evaluate_distances_validation():
     qmeta, gmeta = _meta([1, 2]), _meta([1, 2, 3])
     d = np.zeros((2, 3), dtype=np.float32)
     d[1, 2] = np.nan
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"\(row 1\)"):
         evaluate_distances(d, qmeta, gmeta)
+    # query 1 has no match, so it is skipped, but its row is still checked
+    with pytest.raises(DataError, match=r"\(row 1\)"):
+        evaluate_distances(d, _meta([1, 9]), gmeta)
     with pytest.raises(ConfigError):
         evaluate_distances(np.zeros((2, 4)), qmeta, gmeta)
     with pytest.raises(ConfigError):

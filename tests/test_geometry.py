@@ -190,8 +190,9 @@ def test_gem_rejects_bad_inputs():
         gem_pool(fmap, GemParams(p=0.5))
     with pytest.raises(DataError):
         gem_pool(fmap - 2.0, GemParams(p=2.0))
-    with pytest.raises(ShapeError):
-        gem_pool(np.ones((2, 2)), GemParams())
+    for shape in [(2, 2), (0, 3, 4), (3, 0, 4)]:
+        with pytest.raises(ShapeError):
+            gem_pool(np.ones(shape), GemParams())
     for bad in (np.nan, np.inf):
         broken = fmap.copy()
         broken[1, 0, 1] = bad
@@ -248,5 +249,6 @@ def test_gem_float64_peak_stays_within_a_few_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    # the float64 buffer; the negative check takes channel minima, not a map-sized mask
     unit = (BLOCK_ROWS + 1) * fmap.shape[2] * 8
-    assert peak <= 4 * unit, f"peak {peak / unit:.2f} x (BLOCK_ROWS + 1) * C * 8"
+    assert peak <= 1.5 * unit, f"peak {peak / unit:.2f} x (BLOCK_ROWS + 1) * C * 8"
