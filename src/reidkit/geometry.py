@@ -64,12 +64,21 @@ def feature_pair(q, g):
 
 
 def l2_normalize(m: np.ndarray) -> np.ndarray:
-    """Scale each row to unit L2 norm; all-zero rows pass through unchanged."""
+    """Scale each row to unit L2 norm; all-zero rows pass through unchanged.
+
+    Runs one row block at a time into the float32 output.  Raises DataError
+    when a row's float64 norm is not finite (NaN or Inf, or an overflow).
+    """
     m = _as_2d(m, "features")
-    x = m.astype(np.float64)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    return (x / safe).astype(np.float32)
+    out = np.empty(m.shape, dtype=np.float32)
+    for rows in row_blocks(m.shape[0]):
+        x = m[rows].astype(np.float64)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(x, axis=1, keepdims=True)
+        if not np.isfinite(norms).all():
+            raise DataError("features hold a row whose L2 norm is not finite")
+        out[rows] = x / np.where(norms == 0.0, 1.0, norms)
+    return out
 
 
 def euclidean_distances64(q: np.ndarray, g: np.ndarray, gg: np.ndarray | None = None) -> np.ndarray:

@@ -89,9 +89,11 @@ def partition_samples(losses, thresholds: MiningThresholds) -> MiningReport:
     """Split samples into clean/hard/noise by the loss thresholds.
 
     Noise iff loss >= t_noise, hard iff t_hard <= loss < t_noise, clean
-    otherwise.
+    otherwise.  Raises DataError on a NaN loss.
     """
     losses = np.asarray(losses, dtype=np.float64)
+    if np.isnan(losses).any():
+        raise DataError("losses contain NaN")
     partition = []
     for v in losses:
         if v >= thresholds.t_noise:
@@ -107,13 +109,15 @@ def thresholds_from_quantiles(losses, q_hard: float = 0.7, q_noise: float = 0.97
     """Derive thresholds as empirical quantiles (linear interpolation).
 
     Degenerate distributions may produce t_hard == t_noise, which
-    :class:`MiningThresholds` rejects.
+    :class:`MiningThresholds` rejects.  Raises DataError on a NaN loss.
     """
     if not (0.0 < q_hard < q_noise < 1.0):
         raise ConfigError(
             f"quantile fractions must satisfy 0 < q_hard < q_noise < 1, got {q_hard}, {q_noise}"
         )
     losses = np.asarray(losses, dtype=np.float64)
+    if np.isnan(losses).any():
+        raise DataError("losses contain NaN")
     if losses.size == 0:
         raise ConfigError("cannot take quantiles of an empty loss vector")
     t_hard, t_noise = np.quantile(losses, [q_hard, q_noise], method="linear")

@@ -242,32 +242,32 @@ def aqe_expand(q: np.ndarray, g: np.ndarray, params: AqeParams = AqeParams()) ->
     similarity**alpha; vectors are L2-normalized before averaging and the
     result is re-normalized.  Negative similarities contribute weight 0
     (fractional alpha is undefined for them).  k=0 returns the normalized
-    queries unchanged.  Raises DataError on NaN or Inf features.
+    queries unchanged.  Raises DataError on NaN or Inf features.  Runs one
+    block of query rows at a time, with no per-query loop.
     """
     q, g = feature_pair(q, g)
     if params.k > g.shape[0]:
         raise ConfigError(f"k={params.k} exceeds gallery size {g.shape[0]}")
 
-    qn = l2_normalize(q).astype(np.float64)
+    qn = l2_normalize(q)
     if params.k == 0:
-        return qn.astype(np.float32)
+        return qn
     gn = l2_normalize(g).astype(np.float64)
-    expanded = np.empty_like(qn)
+    expanded = np.empty(qn.shape)
     for rows in row_blocks(qn.shape[0]):
-        sim = qn[rows] @ gn.T
+        qb = qn[rows].astype(np.float64)
+        sim = qb @ gn.T
         order = _neighbours(-sim, params.k)
-        for i in range(sim.shape[0]):
-            idx = order[i]
-            s = sim[i, idx]
-            # sim**alpha, except non-positive similarities drop out entirely
-            # (fractional alpha is undefined there, and 0**0 would weight them 1)
-            w = np.where(s > 0.0, np.power(np.maximum(s, 0.0), params.alpha), 0.0)
-            acc = qn[rows.start + i] + w @ gn[idx]
-            denom = 1.0 + w.sum()
-            expanded[rows.start + i] = acc / denom
+        s = np.take_along_axis(sim, order, axis=1)
+        # sim**alpha, except non-positive similarities drop out entirely
+        # (fractional alpha is undefined there, and 0**0 would weight them 1)
+        w = np.where(s > 0.0, np.power(np.maximum(s, 0.0), params.alpha), 0.0)
+        acc = qb + np.matmul(w[:, None, :], gn[order])[:, 0]
+        expanded[rows] = acc / (1.0 + w.sum(axis=1))[:, None]
     return l2_normalize(expanded)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise DataError below
 def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
     """Elementwise sum of identically shaped distance matrices.
 
@@ -276,7 +276,9 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
     once per input over the whole matrix.  The sum runs in float64, one
     block of rows at a time, straight into the float32 result: besides
     that result, only a float64 total and a scaled input, each a block of
-    rows in size and allocated once per call, are alive.
+    rows in size and allocated once per call, are alive.  Raises DataError,
+    naming the input, on NaN or Inf: with ``normalize`` on an input's
+    bounds, otherwise on each block's sum, which must also fit float32.
     """
     mats = [np.asarray(m) for m in matrices]
     if not mats:
@@ -289,6 +291,9 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
             raise ShapeError(f"shape mismatch in ensemble: {m.shape} vs {shape}")
     # float64 bounds: hi - lo taken in float32 would round differently
     bounds = [(np.float64(m.min()), np.float64(m.max())) if normalize else None for m in mats]
+    for i, bound in enumerate(bounds):
+        if bound is not None and not np.isfinite(bound[1] - bound[0]):
+            raise DataError(f"ensemble input {i} holds NaN or Inf, or spans more than float64")
     out = np.empty(shape, dtype=np.float32)
     # reused by every block, so two blocks' temporaries are never alive at once
     total_buf = np.empty((min(shape[0], BLOCK_ROWS), shape[1]))
@@ -305,4 +310,8 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
                 scaled /= hi - lo
                 total += scaled
         out[rows] = total
+        if not normalize and not np.isfinite([out[rows].min(), out[rows].max()]).all():
+            bad = [i for i, m in enumerate(mats) if not np.isfinite(m[rows]).all()]
+            raise DataError(f"ensemble input {bad[0]} holds NaN or Inf" if bad
+                            else "the ensemble sum overflows float32")
     return out

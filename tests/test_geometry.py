@@ -36,6 +36,59 @@ def test_l2_normalize_zero_row_passthrough():
     assert np.allclose(out[1], [0.6, 0.8], atol=1e-7)
 
 
+def _whole_matrix_l2_normalize(m):
+    """The unblocked formula: one float64 copy of the whole matrix."""
+    x = np.asarray(m).astype(np.float64)
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    return (x / np.where(norms == 0.0, 1.0, norms)).astype(np.float32)
+
+
+def _l2_inputs():
+    rng = np.random.default_rng(23)
+    for n in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 1000):
+        yield rng.normal(size=(n, 48)).astype(np.float32)
+    yield rng.normal(size=(300, 2048)).astype(np.float32)
+    yield rng.normal(size=(600, 77)) * 1e3
+    yield rng.normal(size=(300, 40)).astype(np.float16)
+    yield rng.integers(-1000, 1000, size=(513, 19))
+    zeros = rng.normal(size=(600, 8)).astype(np.float32)
+    zeros[::7] = 0.0
+    zeros[BLOCK_ROWS - 1:BLOCK_ROWS + 1] = 0.0
+    yield zeros
+    yield np.zeros((0, 5), dtype=np.float32)
+    yield np.asfortranarray(rng.normal(size=(700, 64)).astype(np.float32))
+    yield np.asfortranarray(rng.normal(size=(300, 300)))
+
+
+def test_l2_normalize_blocks_equal_the_whole_matrix_formula():
+    for m in _l2_inputs():
+        want = _whole_matrix_l2_normalize(m)
+        got = l2_normalize(m)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (m.shape, m.dtype)
+
+
+def test_l2_normalize_peak_stays_near_its_output():
+    m = np.random.default_rng(24).normal(size=(5000, 256)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        l2_normalize(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 output plus float64 temporaries of one block of rows
+    assert peak <= 1.5 * m.nbytes, f"peak {peak / m.nbytes:.2f} x the output"
+
+
+@pytest.mark.parametrize("bad", [[[np.nan, 1.0]], [[np.inf, 1.0]], [[-np.inf, 1.0]], [[1e200, 1.0]]])
+def test_l2_normalize_rejects_rows_without_a_finite_norm(bad):
+    m = np.ones((BLOCK_ROWS + 3, 2))
+    m[BLOCK_ROWS + 1] = bad[0]
+    for rows in (np.array(bad), m):
+        with pytest.raises(DataError):
+            l2_normalize(rows)
+
+
 def test_euclidean_matches_brute_force():
     rng = np.random.default_rng(1)
     for _ in range(10):

@@ -136,6 +136,13 @@ def test_partition_rejects_inverted_thresholds():
         partition_samples([1.0], MiningThresholds(t_hard=2.0, t_noise=2.0))
 
 
+def test_partition_rejects_nan_losses():
+    # a NaN loss fails every threshold comparison, so it would land in CLEAN
+    for losses in ([np.nan], [0.5, np.nan, 3.0]):
+        with pytest.raises(DataError):
+            partition_samples(losses, MiningThresholds(t_hard=0.1, t_noise=0.2))
+
+
 def test_threshold_quantiles_linear_interpolation():
     losses = np.arange(100, dtype=np.float64)  # 0..99
     t = thresholds_from_quantiles(losses, q_hard=0.7, q_noise=0.95)
@@ -148,6 +155,9 @@ def test_threshold_quantile_validation():
         thresholds_from_quantiles([1.0, 2.0], q_hard=0.9, q_noise=0.5)
     with pytest.raises(ConfigError):
         thresholds_from_quantiles([], 0.5, 0.9)
+    # NaN quantiles would reach MiningThresholds and be blamed on the thresholds
+    with pytest.raises(DataError):
+        thresholds_from_quantiles([1.0, np.nan, 2.0])
 
 
 def test_resample_plan_four_images_gets_sixteen_copies():

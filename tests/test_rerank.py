@@ -19,7 +19,7 @@ from reidkit import (
     k_reciprocal_rerank,
     l2_normalize,
 )
-from reidkit.geometry import BLOCK_ROWS
+from reidkit.geometry import BLOCK_ROWS, row_blocks
 from reidkit.rerank import _expanded_sets, _neighbours, _reciprocal_pairs
 
 
@@ -265,6 +265,50 @@ def test_aqe_matches_naive_loop_on_duplicate_gallery_rows():
             assert np.abs(got.astype(np.float64) - ref).max() < 1e-6
 
 
+def _per_query_aqe(q, g, params):
+    """AQE one query at a time: the reference the row-blocked form must match bit for bit."""
+    qn = l2_normalize(q).astype(np.float64)
+    if params.k == 0:
+        return qn.astype(np.float32)
+    gn = l2_normalize(g).astype(np.float64)
+    expanded = np.empty_like(qn)
+    for rows in row_blocks(qn.shape[0]):
+        sim = qn[rows] @ gn.T
+        order = _neighbours(-sim, params.k)
+        for i in range(sim.shape[0]):
+            idx = order[i]
+            s = sim[i, idx]
+            w = np.where(s > 0.0, np.power(np.maximum(s, 0.0), params.alpha), 0.0)
+            acc = qn[rows.start + i] + w @ gn[idx]
+            expanded[rows.start + i] = acc / (1.0 + w.sum())
+    return l2_normalize(expanded)
+
+
+def _aqe_inputs():
+    rng = np.random.default_rng(65)
+    for nq in (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1):
+        yield rng.normal(size=(nq, 24)).astype(np.float32), rng.normal(size=(300, 24)).astype(np.float32)
+    yield rng.normal(size=(BLOCK_ROWS + 1, 2048)).astype(np.float32), rng.normal(size=(400, 2048)).astype(np.float32)
+    # duplicated gallery rows tie exactly; one-column rows have similarities of +-1 only
+    g = rng.normal(size=(40, 16)).astype(np.float32)
+    yield rng.normal(size=(30, 16)).astype(np.float32), g[rng.integers(0, 40, size=200)]
+    yield rng.normal(size=(9, 1)).astype(np.float32), rng.normal(size=(12, 1)).astype(np.float32)
+    # queries that point away from most of the gallery: negative similarities
+    g = np.abs(rng.normal(size=(100, 8))).astype(np.float32)
+    yield -np.abs(rng.normal(size=(20, 8))).astype(np.float32), g
+
+
+@pytest.mark.parametrize("params", [AqeParams(), AqeParams(k=1, alpha=0.0), AqeParams(k=8, alpha=0.5),
+                                    AqeParams(k=20, alpha=3.0), AqeParams(k=0)])
+def test_aqe_blocks_equal_the_per_query_loop(params):
+    for q, g in _aqe_inputs():
+        fitted = AqeParams(k=min(params.k, g.shape[0]), alpha=params.alpha)
+        want = _per_query_aqe(q, g, fitted)
+        got = aqe_expand(q, g, fitted)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (q.shape, g.shape)
+
+
 def test_aqe_k_zero_only_normalizes():
     rng = np.random.default_rng(58)
     q = rng.normal(size=(5, 4)).astype(np.float32)
@@ -356,6 +400,25 @@ def test_ensemble_validation():
     for normalize in (False, True):
         with pytest.raises(ShapeError):
             ensemble_distances([np.zeros((0, 3), np.float32)], normalize)
+    ones = np.ones((BLOCK_ROWS + 3, 4), np.float32)
+    for normalize in (False, True):
+        for bad in (np.nan, np.inf, -np.inf):
+            broken = ones.copy()
+            broken[BLOCK_ROWS + 1, 2] = bad
+            # with normalize, a NaN bound fails the hi > lo test that skips constant inputs
+            with pytest.raises(DataError, match="input 1"):
+                ensemble_distances([ones, broken], normalize)
+        # +Inf in one input and -Inf in the other sum to NaN
+        plus, minus = ones.copy(), ones.copy()
+        plus[0, 0], minus[0, 0] = np.inf, -np.inf
+        with pytest.raises(DataError):
+            ensemble_distances([plus, minus], normalize)
+    huge = np.full((2, 2), 3e38, np.float32)
+    with pytest.raises(DataError, match="overflows float32"):
+        ensemble_distances([huge, huge])
+    assert np.array_equal(ensemble_distances([huge, huge], normalize=True), np.zeros((2, 2)))
+    with pytest.raises(DataError):
+        ensemble_distances([np.array([[-1e308, 1e308]])], normalize=True)
 
 
 def test_aqe_peak_memory_stays_below_the_similarity_matrix():
