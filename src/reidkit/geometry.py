@@ -27,10 +27,15 @@ def row_blocks(n):
 
 def squared_norms(x):
     """``np.sum(x * x, axis=1)`` taken one row block at a time, so the squared
-    copy of ``x`` is a block in size; each row sums as it would in one pass."""
+    copy of ``x`` is a block in size; each row sums as it would in one pass.
+    Raises DataError when a row's sum is not finite (NaN or Inf, or an
+    overflow such as a float64 row holding 1e200)."""
     out = np.empty(x.shape[0], dtype=x.dtype)
-    for rows in row_blocks(x.shape[0]):
-        out[rows] = np.sum(x[rows] * x[rows], axis=1)
+    with np.errstate(over="ignore"):
+        for rows in row_blocks(x.shape[0]):
+            out[rows] = np.sum(x[rows] * x[rows], axis=1)
+    if not np.isfinite(out).all():
+        raise DataError("features hold a row whose squared norm is not finite")
     return out
 
 
@@ -145,13 +150,36 @@ DISTANCES = {"euclidean": euclidean_distances, "cosine": cosine_distances}
 
 
 def fuse_flip_features(orig: np.ndarray, flipped: np.ndarray) -> np.ndarray:
-    """Elementwise mean of the original-image and flipped-image features."""
+    """Elementwise mean of the original-image and flipped-image features.
+
+    Raises DataError when the float32 mean holds NaN or Inf: NaN and Inf
+    inputs carry into it, and so does a mean beyond float32's range.
+    """
     orig = _as_2d(orig, "original features")
     flipped = _as_2d(flipped, "flipped features")
     if orig.shape != flipped.shape:
         raise ShapeError(f"shape mismatch: {orig.shape} vs {flipped.shape}")
-    fused = (orig.astype(np.float64) + flipped.astype(np.float64)) * 0.5
-    return fused.astype(np.float32)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked on the output
+        fused = ((orig.astype(np.float64) + flipped.astype(np.float64)) * 0.5).astype(np.float32)
+    if not np.isfinite(fused).all():
+        raise DataError("fused flip features hold NaN or Inf")
+    return fused
+
+
+def _power_in_place(block, p, base):
+    """``block **= p`` for a whole number p >= 2 by left-to-right binary
+    exponentiation (p = 3 is ``x *= x; x *= base``), ``len(base)`` rows at a
+    time so that a chunk and its copy in ``base`` stay in cache."""
+    bits = bin(p)[3:]  # the bits after the leading 1
+    for at in range(0, len(block), len(base)):
+        x = block[at:at + len(base)]
+        b = base[:len(x)]
+        if "1" in bits:  # p = 2, 4 and 8 only square
+            np.copyto(b, x)
+        for bit in bits:
+            x *= x
+            if bit == "1":
+                x *= b
 
 
 def gem_pool(fmap: np.ndarray, params: GemParams = GemParams()) -> np.ndarray:
@@ -166,6 +194,10 @@ def gem_pool(fmap: np.ndarray, params: GemParams = GemParams()) -> np.ndarray:
     in one float64 buffer of (block + 1) x C whose row 0 carries the running
     sum, so for C >= 2 the rows add in the order of a whole-map ``np.mean``
     over (H, W) (for C = 1 numpy adds pairwise, here within each block).
+    A whole-number p from 2 to 8 is raised by in-place squaring and
+    multiplying, ``BLOCK_ROWS // 8`` rows at a time against a copy of those
+    rows, which rounds within a few float64 ulp of ``pow``; any other p
+    (fractional, above 8 or infinite) goes through ``pow``.
     The channel peaks are taken in the map's own dtype; a map that is not
     C-ordered is copied once, also in its own dtype.
     """
@@ -185,10 +217,17 @@ def gem_pool(fmap: np.ndarray, params: GemParams = GemParams()) -> np.ndarray:
     peak = peak.astype(np.float64)
     safe = np.where(peak == 0.0, 1.0, peak)
     buf = np.empty((min(n, BLOCK_ROWS) + 1, flat.shape[1]))
+    # int(p) only after this test, as int(inf) raises; the cap bounds the
+    # rounding error and the loop (p = 1e300 is a whole number too)
+    whole = float(params.p).is_integer() and 2 <= params.p <= 8
+    base = np.empty((min(n, BLOCK_ROWS // 8), flat.shape[1])) if whole else None
     for rows in row_blocks(n):
         top = 1 + rows.stop - rows.start
         block = np.divide(flat[rows], safe, out=buf[1:top])
-        block **= params.p
+        if whole:
+            _power_in_place(block, int(params.p), base)
+        else:
+            block **= params.p
         # row 0 holds the sum of the blocks before; the first block has none
         buf[0] = np.add.reduce(buf[0 if rows.start else 1:top], axis=0)
     pooled = peak * (buf[0] / n) ** (1.0 / params.p)

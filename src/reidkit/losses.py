@@ -140,8 +140,12 @@ def _circle_pair_masks(labels):
 
 
 def _cosine_matrix(x):
-    """Cosine similarities plus the normalized rows and row norms."""
-    norms = np.linalg.norm(x, axis=1)
+    """Cosine similarities plus the normalized rows and row norms.
+
+    The norms are ``np.linalg.norm(x, axis=1)`` bit for bit, taken through
+    ``squared_norms`` so that a row whose squares overflow raises DataError.
+    """
+    norms = np.sqrt(squared_norms(x))
     safe = np.where(norms == 0.0, 1.0, norms)
     y = x / safe[:, None]
     return y @ y.T, y, safe

@@ -89,6 +89,16 @@ def test_l2_normalize_rejects_rows_without_a_finite_norm(bad):
             l2_normalize(rows)
 
 
+@pytest.mark.parametrize("fn", [euclidean_distances, lambda q, g: euclidean_distances(g, q)],
+                         ids=["in_query", "in_gallery"])
+def test_euclidean_rejects_rows_whose_squares_overflow(fn):
+    q = np.ones((BLOCK_ROWS + 3, 2))
+    q[BLOCK_ROWS + 1] = [1e200, 1.0]
+    with pytest.raises(DataError) as err:
+        fn(q, np.zeros((1, 2)))
+    assert err.value.exit_code == 3
+
+
 def test_euclidean_matches_brute_force():
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -194,6 +204,15 @@ def test_fuse_flip_is_mean():
         fuse_flip_features(a, b[:-1])
 
 
+@pytest.mark.parametrize("orig, flipped", [([[np.nan, 1.0]], [[0.0, 1.0]]),
+                                           ([[np.inf, 1.0]], [[-np.inf, 1.0]]),
+                                           ([[1e300, 1.0]], [[1e300, 1.0]])])
+def test_fuse_flip_rejects_non_finite_means(orig, flipped):
+    with pytest.raises(DataError) as err:
+        fuse_flip_features(np.array(orig), np.array(flipped))
+    assert err.value.exit_code == 3
+
+
 def test_gem_p1_is_channel_mean():
     rng = np.random.default_rng(5)
     fmap = rng.uniform(0.0, 4.0, size=(7, 5, 3))
@@ -281,9 +300,13 @@ def _gem_maps():
     signed[::2, :, 2] = -0.0
     signed[1::2, :, 2] = 0.0
     yield signed
+    # the train-epoch shape: 128 pixel rows of 2048 channels, some of them dead
+    workload = rng.uniform(0.0, 3.0, (16, 8, 2048)).astype(np.float32)
+    workload[:, :, ::97] = 0.0
+    yield workload
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 16.0, 100.0])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 16.0, 100.0, 1e300, np.inf])
 def test_gem_blocks_equal_the_whole_map_formula(p):
     for fmap in _gem_maps():
         want = _whole_map_gem(fmap, p)
