@@ -28,14 +28,14 @@ def row_blocks(n):
 def squared_norms(x):
     """``np.sum(x * x, axis=1)`` taken one row block at a time, so the squared
     copy of ``x`` is a block in size; each row sums as it would in one pass.
-    Raises DataError when a row's sum is not finite (NaN or Inf, or an
-    overflow such as a float64 row holding 1e200)."""
+    Every feature path reaches this one check first: DataError when a row's
+    sum is not finite (NaN or Inf, or an overflow such as a 1e200 float64 row)."""
     out = np.empty(x.shape[0], dtype=x.dtype)
     with np.errstate(over="ignore"):
         for rows in row_blocks(x.shape[0]):
             out[rows] = np.sum(x[rows] * x[rows], axis=1)
     if not np.isfinite(out).all():
-        raise DataError("features hold a row whose squared norm is not finite")
+        raise DataError("features hold NaN or Inf, or a row whose squared norm overflows")
     return out
 
 
@@ -58,36 +58,31 @@ def _as_2d(m, name):
 
 
 def feature_pair(q, g):
-    """``q`` and ``g`` as 2-D arrays of one width; DataError on NaN or Inf."""
+    """``q`` and ``g`` as 2-D arrays of one width; ``squared_norms`` checks the values."""
     q = np.asarray(q)
     g = np.asarray(g)
     if q.ndim != 2 or g.ndim != 2 or q.shape[1] != g.shape[1]:
         raise ShapeError(f"incompatible shapes {q.shape} vs {g.shape}")
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(g))):
-        raise DataError("features contain NaN or Inf")
     return q, g
 
 
 def l2_normalize(m: np.ndarray) -> np.ndarray:
     """Scale each row to unit L2 norm; all-zero rows pass through unchanged.
 
-    Runs one row block at a time into the float32 output.  Raises DataError
-    when a row's float64 norm is not finite (NaN or Inf, or an overflow).
+    Runs one row block at a time into the float32 output.  The norms come
+    from ``squared_norms``, so NaN, Inf and overflowing rows raise DataError.
     """
     m = _as_2d(m, "features")
     out = np.empty(m.shape, dtype=np.float32)
     for rows in row_blocks(m.shape[0]):
         x = m[rows].astype(np.float64)
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(x, axis=1, keepdims=True)
-        if not np.isfinite(norms).all():
-            raise DataError("features hold a row whose L2 norm is not finite")
+        norms = np.sqrt(squared_norms(x))[:, None]
         out[rows] = x / np.where(norms == 0.0, 1.0, norms)
     return out
 
 
 def euclidean_distances64(q: np.ndarray, g: np.ndarray, gg: np.ndarray | None = None) -> np.ndarray:
-    """Float64 distance kernel, entry (i, j) = ||q_i - g_j||; no input checks.
+    """Float64 distance kernel, entry (i, j) = ||q_i - g_j||; no shape checks.
 
     Takes float64 (n, d) and (m, d) arrays; ``gg``, when given, is
     ``squared_norms(g)``, so callers that pass one g with many blocks of q
@@ -96,16 +91,21 @@ def euclidean_distances64(q: np.ndarray, g: np.ndarray, gg: np.ndarray | None = 
     rows: every entry with d^2 <= 1e-10 * (||q_i||^2 + ||g_j||^2), negative
     rounding residue included, is taken again as sum((q_i - g_j)^2), so
     identical rows are exactly 0 apart.  Retrieval, the triplet loss and
-    mining all take their Euclidean distances from here.
+    mining all take their Euclidean distances from here.  Raises DataError
+    when a squared norm exceeds a quarter of the float64 maximum: below
+    that, ||q||^2 + ||g||^2, |2 q.g| and the exact re-take cannot overflow.
     """
     qq = squared_norms(q)
     if gg is None:
         gg = squared_norms(g)
+    gg_max = gg.max(initial=0.0)
+    if max(qq.max(initial=0.0), gg_max) > np.finfo(np.float64).max / 4:
+        raise DataError("features hold a row too large for float64 distances")
     d = qq[:, None] + gg[None, :]
     d -= 2.0 * (q @ g.T)
     # candidates against the largest ||g_j||^2 first, so the exact test
     # runs on a few entries; then at most len(g) pairs of rows at a time
-    cand = np.flatnonzero(d <= 1e-10 * (qq + gg.max(initial=0.0))[:, None])
+    cand = np.flatnonzero(d <= 1e-10 * (qq + gg_max)[:, None])
     i, j = np.divmod(cand, d.shape[1])
     near = d[i, j] <= 1e-10 * (qq[i] + gg[j])
     i, j = i[near], j[near]

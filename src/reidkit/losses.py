@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BatchError, ConfigError, DataError
+from .errors import BatchError, ConfigError
 from .geometry import euclidean_distances64, row_blocks, squared_norms
 
 _EXP_CLIP = 700.0  # exp overflow guard for the log-domain path
@@ -69,8 +69,6 @@ def _validate_batch(embeddings, labels):
         )
     if x.shape[0] < 2:
         raise BatchError("batch needs at least 2 samples")
-    if not np.all(np.isfinite(x)):
-        raise DataError("embeddings contain NaN or Inf")
     return x, labels
 
 

@@ -61,13 +61,12 @@ def per_sample_losses(features, meta: MetaTable, params: TripletParams = Triplet
     identity in the whole table) get loss 0 and trigger a RuntimeWarning.
     The hardest pairs come from ``losses.batch_hard``, the selector the
     triplet loss uses, so the full n x n matrix never materializes.  Raises
-    ShapeError unless ``features`` is 2-D and DataError on NaN or Inf.
+    ShapeError unless ``features`` is 2-D, ConfigError when ``meta`` has
+    another length, and then DataError on NaN, Inf or an overflowing row.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"features must be 2-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("features contain NaN or Inf")
     n = x.shape[0]
     if len(meta) != n:
         raise ConfigError(f"metadata length {len(meta)} does not match {n} features")

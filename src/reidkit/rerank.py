@@ -250,9 +250,9 @@ def aqe_expand(q: np.ndarray, g: np.ndarray, params: AqeParams = AqeParams()) ->
         raise ConfigError(f"k={params.k} exceeds gallery size {g.shape[0]}")
 
     qn = l2_normalize(q)
+    gn = l2_normalize(g).astype(np.float64)  # before k=0 returns: it checks g
     if params.k == 0:
         return qn
-    gn = l2_normalize(g).astype(np.float64)
     expanded = np.empty(qn.shape)
     for rows in row_blocks(qn.shape[0]):
         qb = qn[rows].astype(np.float64)

@@ -102,6 +102,8 @@ def split_query_gallery(features, meta: MetaTable, query_per_id: int):
     if query_per_id < 1:
         raise ConfigError(f"query_per_id must be >= 1, got {query_per_id}")
     features = np.asarray(features)
+    if len(meta) != len(features):
+        raise ConfigError(f"metadata length {len(meta)} does not match {len(features)} features")
     seen = {}
     q_idx, g_idx = [], []
     for i, entry in enumerate(meta):

@@ -92,11 +92,14 @@ def test_l2_normalize_rejects_rows_without_a_finite_norm(bad):
 @pytest.mark.parametrize("fn", [euclidean_distances, lambda q, g: euclidean_distances(g, q)],
                          ids=["in_query", "in_gallery"])
 def test_euclidean_rejects_rows_whose_squares_overflow(fn):
-    q = np.ones((BLOCK_ROWS + 3, 2))
-    q[BLOCK_ROWS + 1] = [1e200, 1.0]
-    with pytest.raises(DataError) as err:
-        fn(q, np.zeros((1, 2)))
-    assert err.value.exit_code == 3
+    # 1e154 squares to a finite 1e308, but its sum and Gram terms overflow
+    for big, other in ((1e200, np.zeros((1, 2))), (1e154, np.array([[-1e154, 1.0]]))):
+        q = np.ones((BLOCK_ROWS + 3, 2))
+        q[BLOCK_ROWS + 1] = [big, 1.0]
+        for rows in (q, q[BLOCK_ROWS + 1:BLOCK_ROWS + 2]):
+            with pytest.raises(DataError) as err:
+                fn(rows, other)
+            assert err.value.exit_code == 3
 
 
 def test_euclidean_matches_brute_force():
@@ -144,6 +147,12 @@ def test_distances_reject_non_finite_features(distances, bad):
         with pytest.raises(DataError):
             distances(q, g)
         m[1, 2] = 0.0
+    # the check runs per row block, so also a bad row in the second block
+    tall = rng.normal(size=(BLOCK_ROWS + 3, 4))
+    tall[BLOCK_ROWS + 1, 2] = bad
+    for pair in ((tall, g), (q, tall)):
+        with pytest.raises(DataError):
+            distances(*pair)
 
 
 def test_cosine_matches_brute_force():

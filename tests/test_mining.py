@@ -87,7 +87,8 @@ def test_per_sample_losses_peak_memory_is_a_few_row_blocks():
 def test_per_sample_losses_rejects_bad_features():
     meta = _meta([0, 0, 1, 1])
     x = np.arange(8, dtype=np.float64).reshape(4, 2)
-    for bad in (np.nan, np.inf, -np.inf, 1e200):  # 1e200 squares past float64
+    # 1e200 squares past float64; 1e154 overflows the distances' sums
+    for bad in (np.nan, np.inf, -np.inf, 1e200, 1e154):
         y = x.copy()
         y[2, 1] = bad
         with pytest.raises(DataError) as err:

@@ -219,13 +219,17 @@ def test_rerank_and_aqe_reject_non_finite_features(bad):
     rng = np.random.default_rng(312)
     q = rng.normal(size=(3, 4)).astype(np.float32)
     g = rng.normal(size=(9, 4)).astype(np.float32)
-    for where in ("query", "gallery"):
-        qb, gb = q.copy(), g.copy()
-        (qb if where == "query" else gb)[1, 2] = bad
+    tall = rng.normal(size=(BLOCK_ROWS + 3, 4)).astype(np.float32)
+    # row 1 of a small side, or a row in the second block of a tall side
+    for side, pair, row in ((0, (q, g), 1), (1, (q, g), 1),
+                            (0, (tall, g), BLOCK_ROWS + 1), (1, (q, tall), BLOCK_ROWS + 1)):
+        qb, gb = (m.copy() for m in pair)
+        (qb, gb)[side][row, 2] = bad
         with pytest.raises(DataError):
             k_reciprocal_rerank(qb, gb, RerankParams(k1=4, k2=2))
-        with pytest.raises(DataError):
-            aqe_expand(qb, gb, AqeParams(k=2))
+        for k in (2, 0):  # k=0 returns the queries, but only after checking g
+            with pytest.raises(DataError):
+                aqe_expand(qb, gb, AqeParams(k=k))
 
 
 def test_rerank_rejects_features_that_overflow_float32():

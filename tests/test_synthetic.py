@@ -116,6 +116,14 @@ def test_split_validation():
         split_query_gallery(features, meta, 3)  # leaves the gallery empty
 
 
+def test_split_rejects_metadata_of_another_length():
+    features, meta = generate_synthetic(SynthParams(n_ids=5, per_id=4, dims=4, seed=23))
+    for rows in (np.vstack([features, features]), features[:10]):
+        with pytest.raises(ConfigError, match="metadata length") as err:
+            split_query_gallery(rows, meta, 1)
+        assert err.value.exit_code == 2
+
+
 def test_features_are_filled_without_a_float64_copy():
     params = SynthParams(n_ids=100, per_id=20, dims=512, seed=4)
     tracemalloc.start()
