@@ -81,13 +81,15 @@ def l2_normalize(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def euclidean_distances64(q: np.ndarray, g: np.ndarray, gg: np.ndarray | None = None) -> np.ndarray:
+def euclidean_distances64(
+    q: np.ndarray, g: np.ndarray, gg: np.ndarray | None = None, qq: np.ndarray | None = None
+) -> np.ndarray:
     """Float64 distance kernel, entry (i, j) = ||q_i - g_j||; no shape checks.
 
-    Takes float64 (n, d) and (m, d) arrays; ``gg``, when given, is
-    ``squared_norms(g)``, so callers that pass one g with many blocks of q
-    take it once.  Uses the
-    ||q||^2 + ||g||^2 - 2 q.g expansion, which cancels for (near-)duplicate
+    Takes float64 (n, d) and (m, d) arrays; ``gg`` and ``qq``, when given,
+    are ``squared_norms(g)`` and ``squared_norms(q)``, so callers that pass
+    one g with many blocks of q, or blocks of g itself, take them once.
+    Uses the ||q||^2 + ||g||^2 - 2 q.g expansion, which cancels for (near-)duplicate
     rows: every entry with d^2 <= 1e-10 * (||q_i||^2 + ||g_j||^2), negative
     rounding residue included, is taken again as sum((q_i - g_j)^2), so
     identical rows are exactly 0 apart.  Retrieval, the triplet loss and
@@ -95,7 +97,8 @@ def euclidean_distances64(q: np.ndarray, g: np.ndarray, gg: np.ndarray | None = 
     when a squared norm exceeds a quarter of the float64 maximum: below
     that, ||q||^2 + ||g||^2, |2 q.g| and the exact re-take cannot overflow.
     """
-    qq = squared_norms(q)
+    if qq is None:
+        qq = squared_norms(q)
     if gg is None:
         gg = squared_norms(g)
     gg_max = gg.max(initial=0.0)

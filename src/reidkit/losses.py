@@ -78,9 +78,10 @@ def batch_hard(x, labels):
     ``x`` is float64 (n, d) with one label per row; an anchor is not its own
     positive, and the lowest index wins ties.  Anchors go one
     ``geometry.row_blocks`` block at a time through ``euclidean_distances64``
-    with the squared norms taken once, so one block of distances is alive
-    at a time and no n x n matrix is made.  Returns ``(d_pos, d_neg,
-    pos_idx, neg_idx, has_pos, has_neg)``, n-vectors each; where ``has_pos``
+    with the squared norms taken once, for anchors and set alike, so one
+    block of distances is alive at a time and no n x n matrix is made.
+    Returns ``(d_pos, d_neg, pos_idx, neg_idx, has_pos, has_neg)``,
+    n-vectors each; where ``has_pos``
     (``has_neg``) is False the anchor has no positive (negative) and the
     matching value and index are meaningless.
     """
@@ -90,7 +91,7 @@ def batch_hard(x, labels):
     has_pos, has_neg = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     xx = squared_norms(x)
     for rows in row_blocks(n):
-        dist = euclidean_distances64(x[rows], x, xx)
+        dist = euclidean_distances64(x[rows], x, xx, xx[rows])
         at = np.arange(dist.shape[0])
         pos_mask = labels[rows, None] == labels[None, :]
         neg_mask = ~pos_mask

@@ -136,21 +136,12 @@ def balanced_resample_plan(meta: MetaTable, target: int = 20, max_copies: int = 
     if target < 1 or max_copies < 1:
         raise ConfigError("target and max_copies must be >= 1")
 
-    by_id: dict = {}
-    for idx, entry in enumerate(meta):
-        by_id.setdefault(entry.person_id, []).append(idx)
-
-    copies: dict = {}
-    for indices in by_id.values():
-        k = len(indices)
-        if k >= target:
-            continue
-        need = min(target, k * (1 + max_copies)) - k
-        for i, idx in enumerate(indices):
-            c = need // k + (i < need % k)
-            if c > 0:
-                copies[idx] = c
-    return ResamplePlan(copies=sorted(copies.items()))
+    place, k = meta.identity_places()
+    k = k.astype(object)  # Python ints, so no target or max_copies overflows
+    need = np.maximum(np.minimum(target, k * (1 + max_copies)) - k, 0)
+    copies = need // k + (place < need % k)
+    idx = np.flatnonzero(copies)
+    return ResamplePlan(copies=list(zip(idx.tolist(), copies[idx].tolist())))
 
 
 def save_mining_report(report: MiningReport, meta: MetaTable, path) -> None:
@@ -160,6 +151,6 @@ def save_mining_report(report: MiningReport, meta: MetaTable, path) -> None:
     write_csv(
         path,
         ["image_id", "loss", "class"],
-        ([e.image_id, repr(float(loss)), cls.value]
-         for e, loss, cls in zip(meta, report.losses, report.partition)),
+        ([image_id, repr(float(loss)), cls.value]
+         for image_id, loss, cls in zip(meta.image_ids, report.losses, report.partition)),
     )

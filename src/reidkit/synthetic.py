@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .tensorio import MetaTable, SampleMeta
+from .tensorio import MetaTable
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -78,18 +78,9 @@ def generate_synthetic(params: SynthParams):
                 wrong += 1
             labels[idx] = wrong
 
-    entries = []
-    for i in range(n):
-        true_block = i // params.per_id
-        j = i % params.per_id
-        entries.append(
-            SampleMeta(
-                image_id=f"id{true_block:04d}_img{j:03d}",
-                person_id=int(labels[i]),
-                camera_id=j % 2,
-            )
-        )
-    return features, MetaTable(entries)
+    image_ids = [f"id{b:04d}_img{j:03d}" for b in range(params.n_ids) for j in range(params.per_id)]
+    cameras = [j % 2 for j in range(params.per_id)] * params.n_ids
+    return features, MetaTable.from_columns(image_ids, labels.tolist(), cameras)
 
 
 def split_query_gallery(features, meta: MetaTable, query_per_id: int):
@@ -104,13 +95,9 @@ def split_query_gallery(features, meta: MetaTable, query_per_id: int):
     features = np.asarray(features)
     if len(meta) != len(features):
         raise ConfigError(f"metadata length {len(meta)} does not match {len(features)} features")
-    seen = {}
-    q_idx, g_idx = [], []
-    for i, entry in enumerate(meta):
-        k = seen.get(entry.person_id, 0)
-        seen[entry.person_id] = k + 1
-        (q_idx if k < query_per_id else g_idx).append(i)
-    if not q_idx or not g_idx:
+    is_query = meta.identity_places()[0] < query_per_id
+    q_idx, g_idx = np.flatnonzero(is_query), np.flatnonzero(~is_query)
+    if q_idx.size == 0 or g_idx.size == 0:
         raise ConfigError("split produced an empty query or gallery side")
     return (
         features[q_idx],

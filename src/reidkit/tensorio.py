@@ -91,53 +91,71 @@ class SampleMeta:
 
 
 class MetaTable:
-    """Ordered list of :class:`SampleMeta`, index-aligned with a feature matrix.
-
-    Image ids must be unique within one table; person and camera ids must be
-    integers in ``[0, 2**63)``, so they fit the int64 id arrays.
+    """Metadata of n images, index-aligned with a feature matrix, stored as
+    three columns built and checked once: ``image_ids``, a list of str, and
+    ``person_ids`` and ``camera_ids``, read-only int64 arrays.  Indexing and
+    iteration build :class:`SampleMeta` rows with ``int`` fields on access;
+    ``meta[a:b]`` is a list of rows.  Image ids must be non-empty and unique;
+    person and camera ids must be integers in ``[0, 2**63)``.
     """
 
     def __init__(self, entries):
         entries = list(entries)
+        self._set_columns(*([getattr(e, field) for e in entries] for field in META_HEADER))
+
+    @classmethod
+    def from_columns(cls, image_ids, person_ids, camera_ids) -> "MetaTable":
+        """A table from its three columns as lists, checked as ``MetaTable(entries)`` is."""
+        meta = cls.__new__(cls)
+        meta._set_columns(image_ids, person_ids, camera_ids)
+        return meta
+
+    def _set_columns(self, image_ids, person_ids, camera_ids):
+        """The one place the ids are checked; the first offending row is reported."""
         seen = set()
-        for e in entries:
-            if not e.image_id:
+        for image_id, pid, cam in zip(image_ids, person_ids, camera_ids, strict=True):
+            if not image_id:
                 raise DataError("empty image_id in metadata table")
-            if e.image_id in seen:
-                raise DataError(f"duplicate image_id {e.image_id!r}")
-            seen.add(e.image_id)
-            if not (0 <= e.person_id < 2**63 and 0 <= e.camera_id < 2**63):
-                raise DataError(
-                    f"person_id/camera_id of image {e.image_id!r} outside [0, 2**63)"
-                )
-        self.entries = entries
+            if image_id in seen:
+                raise DataError(f"duplicate image_id {image_id!r}")
+            seen.add(image_id)
+            if not (0 <= pid < 2**63 and 0 <= cam < 2**63):
+                raise DataError(f"person_id/camera_id of image {image_id!r} outside [0, 2**63)")
+        self.image_ids = list(image_ids)
+        self.person_ids = np.array(person_ids, dtype=np.int64)
+        self.camera_ids = np.array(camera_ids, dtype=np.int64)
+        self.person_ids.flags.writeable = self.camera_ids.flags.writeable = False
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.image_ids)
 
     def __iter__(self):
-        return iter(self.entries)
+        return map(SampleMeta, self.image_ids, self.person_ids.tolist(), self.camera_ids.tolist())
 
     def __getitem__(self, i):
-        return self.entries[i]
+        row = self.image_ids[i], self.person_ids[i].tolist(), self.camera_ids[i].tolist()
+        return list(map(SampleMeta, *row)) if isinstance(i, slice) else SampleMeta(*row)
 
     def __eq__(self, other):
-        return isinstance(other, MetaTable) and self.entries == other.entries
-
-    @property
-    def person_ids(self) -> np.ndarray:
-        return np.array([e.person_id for e in self.entries], dtype=np.int64)
-
-    @property
-    def camera_ids(self) -> np.ndarray:
-        return np.array([e.camera_id for e in self.entries], dtype=np.int64)
-
-    @property
-    def image_ids(self) -> list:
-        return [e.image_id for e in self.entries]
+        return (isinstance(other, MetaTable) and self.image_ids == other.image_ids
+                and np.array_equal(self.person_ids, other.person_ids)
+                and np.array_equal(self.camera_ids, other.camera_ids))
 
     def subset(self, indices) -> "MetaTable":
-        return MetaTable([self.entries[i] for i in indices])
+        rows = np.fromiter(indices, dtype=np.intp)
+        ids = [self.image_ids[i] for i in rows.tolist()]
+        return MetaTable.from_columns(ids, self.person_ids[rows].tolist(), self.camera_ids[rows].tolist())
+
+    def identity_places(self):
+        """``(place, size)`` per row: its place among its person id's rows in
+        table order (0 for the first) and their count; one stable argsort."""
+        order = np.argsort(self.person_ids, kind="stable")
+        ordered = self.person_ids[order]
+        first = ordered.searchsorted(ordered, "left")
+        place, size = np.empty_like(order), np.empty_like(order)
+        place[order] = np.arange(len(order)) - first
+        size[order] = ordered.searchsorted(ordered, "right") - first
+        return place, size
 
 
 def _validate(m, magic, source=None) -> np.ndarray:
@@ -213,7 +231,7 @@ def save_distances(m: np.ndarray, path) -> None:
 def load_meta(path) -> MetaTable:
     """Load a UTF-8 metadata CSV, preserving row order."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    entries = []
+    image_ids, person_ids, camera_ids = [], [], []
     try:
         header = next(reader, None)
         if header is None:
@@ -225,20 +243,19 @@ def load_meta(path) -> MetaTable:
                 continue
             if len(row) != 3:
                 raise FormatError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            image_id, pid, cam = row
+            image_ids.append(row[0])
             try:
-                pid = int(pid)
-                cam = int(cam)
+                person_ids.append(int(row[1]))
+                camera_ids.append(int(row[2]))
             except ValueError:
                 raise FormatError(
                     f"{path}:{lineno}: person_id/camera_id must be integers"
                 ) from None
-            entries.append(SampleMeta(image_id, pid, cam))
     except csv.Error as exc:
         raise FormatError(f"{path}:{reader.line_num}: {exc}") from None
-    return MetaTable(entries)
+    return MetaTable.from_columns(image_ids, person_ids, camera_ids)
 
 
 def save_meta(meta: MetaTable, path) -> None:
     """Write a metadata table back to CSV (inverse of :func:`load_meta`)."""
-    write_csv(path, META_HEADER, ([e.image_id, e.person_id, e.camera_id] for e in meta))
+    write_csv(path, META_HEADER, zip(meta.image_ids, meta.person_ids.tolist(), meta.camera_ids.tolist()))

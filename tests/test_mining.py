@@ -173,6 +173,9 @@ def test_resample_plan_respects_max_copies_cap():
     plan = balanced_resample_plan(meta, target=20, max_copies=5)
     # two originals can only reach 2 * (1 + 5) = 12, i.e. 10 copies
     assert [c for _, c in plan.copies] == [5, 5]
+    # counts past int64: 2 * (1 + 2**62) must not wrap
+    plan = balanced_resample_plan(meta, target=2**62, max_copies=2**62)
+    assert plan.copies == [(0, 2**61 - 1), (1, 2**61 - 1)]
 
 
 def test_resample_plan_round_robin_remainder():
@@ -189,6 +192,21 @@ def test_resample_plan_skips_full_identities():
     assert touched == {20, 21, 22}
     # identity 1 can only reach 3 * (1 + 5) = 18 of the 20 asked for
     assert sum(c for _, c in plan.copies) == 15
+
+    # identities of 1 to 11 rows, interleaved and shuffled: the plan a per-row
+    # loop deals, round-robin over each identity's rows in table order
+    labels = np.random.default_rng(8).permutation(np.repeat([9, 2, 40, 7, 5], [1, 2, 4, 6, 11]))
+    for target, max_copies in ((6, 2), (10, 5), (20, 1)):
+        by_id, copies = {}, {}
+        for i, p in enumerate(labels):
+            by_id.setdefault(p, []).append(i)
+        for rows in by_id.values():
+            k = len(rows)
+            if k < target:
+                need = min(target, k * (1 + max_copies)) - k
+                copies.update((i, need // k + (j < need % k)) for j, i in enumerate(rows))
+        plan = balanced_resample_plan(_meta(labels), target, max_copies)
+        assert plan.copies == sorted((i, c) for i, c in copies.items() if c > 0)
 
 
 def test_resample_plan_validation():

@@ -107,6 +107,19 @@ def test_split_routes_first_k_per_identity():
     assert set(qm.image_ids).isdisjoint(gm.image_ids)
     assert len(set(qm.image_ids) | set(gm.image_ids)) == 15
 
+    # identities interleaved and shuffled, with label noise: the first k rows
+    # of each person id in table order, as a per-row loop routes them
+    features, meta = generate_synthetic(SynthParams(n_ids=6, per_id=5, dims=4, noise_frac=0.3, seed=5))
+    order = np.random.default_rng(5).permutation(len(meta))
+    features, meta = features[order], meta.subset(order)
+    seen, want_q, want_g = {}, [], []
+    for i, row in enumerate(meta):
+        seen[row.person_id] = seen.get(row.person_id, 0) + 1
+        (want_q if seen[row.person_id] <= 2 else want_g).append(i)
+    qf, qm, gf, gm = split_query_gallery(features, meta, 2)
+    assert qm == meta.subset(want_q) and gm == meta.subset(want_g)
+    assert np.array_equal(qf, features[want_q]) and np.array_equal(gf, features[want_g])
+
 
 def test_split_validation():
     features, meta = generate_synthetic(SynthParams(n_ids=2, per_id=3, dims=4, seed=19))

@@ -191,3 +191,19 @@ def test_meta_subset_preserves_order():
     sub = meta.subset([4, 1, 5])
     assert sub.image_ids == ["img4", "img1", "img5"]
     assert sub.person_ids.tolist() == [0, 1, 1]
+    with pytest.raises(DataError, match="duplicate image_id 'img1'"):
+        meta.subset([1, 2, 1])
+
+
+def test_meta_rows_are_built_from_read_only_columns():
+    meta = MetaTable([SampleMeta("a", 3, 0), SampleMeta("b", 3, 1), SampleMeta("c", 7, 0)])
+    assert meta[0] == SampleMeta("a", 3, 0) and meta[-1] == SampleMeta("c", 7, 0)
+    assert meta[1:3] == [SampleMeta("b", 3, 1), SampleMeta("c", 7, 0)]
+    assert list(meta) == [meta[i] for i in range(3)]
+    for row in meta:
+        assert type(row) is SampleMeta and type(row.person_id) is int and type(row.camera_id) is int
+    for ids in (meta.person_ids, meta.camera_ids):
+        assert ids.dtype == np.int64 and not ids.flags.writeable
+        with pytest.raises(ValueError):
+            ids[0] = 1
+    assert meta.person_ids is meta.person_ids and meta.camera_ids is meta.camera_ids
