@@ -6,7 +6,10 @@ parallelize over rows.  Query x gallery passes here and in ``rerank`` fill
 their float32 output ``BLOCK_ROWS`` query rows at a time, the batch-hard
 pass in ``losses`` walks the same blocks of anchors and GeM pooling the
 same blocks of pixel rows, so their float64 temporaries stay a block in
-size whatever the number of queries or pixels.
+size whatever the number of queries or pixels.  Within a block, in-place
+passes such as the distance kernel's sum of squared norms work through one
+buffer of ``chunk_rows`` rows, so a block holds one float64 array of its
+own size, not several.
 """
 
 from __future__ import annotations
@@ -18,11 +21,17 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 
 BLOCK_ROWS = 256  # query rows per block of a query x gallery pass
+CHUNK_ELEMENTS = 2**15  # float64 entries (256 KiB) per chunk of an in-place pass over a block
 
 
-def row_blocks(n):
-    """Slices of at most ``BLOCK_ROWS`` rows that cover ``range(n)`` in order."""
-    return [slice(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
+def row_blocks(n, size=BLOCK_ROWS):
+    """Slices of at most ``size`` rows that cover ``range(n)`` in order."""
+    return [slice(start, min(start + size, n)) for start in range(0, n, size)]
+
+
+def chunk_rows(ncols):
+    """Rows of ``ncols`` float64 entries that fit one ``CHUNK_ELEMENTS`` chunk (at least 1)."""
+    return max(1, CHUNK_ELEMENTS // max(ncols, 1))
 
 
 def squared_norms(x):
@@ -89,7 +98,11 @@ def euclidean_distances64(
     Takes float64 (n, d) and (m, d) arrays; ``gg`` and ``qq``, when given,
     are ``squared_norms(g)`` and ``squared_norms(q)``, so callers that pass
     one g with many blocks of q, or blocks of g itself, take them once.
-    Uses the ||q||^2 + ||g||^2 - 2 q.g expansion, which cancels for (near-)duplicate
+    Uses the ||q||^2 + ||g||^2 - 2 q.g expansion: the product q @ g.T is
+    doubled in place and, ``chunk_rows`` rows at a time, replaced by
+    (||q||^2 + ||g||^2) - 2 q.g through one small buffer, so the block of
+    distances is the only (n, m) float64 array; each entry rounds as
+    fl(fl(qq + gg) - fl(2 q.g)).  The expansion cancels for (near-)duplicate
     rows: every entry with d^2 <= 1e-10 * (||q_i||^2 + ||g_j||^2), negative
     rounding residue included, is taken again as sum((q_i - g_j)^2), so
     identical rows are exactly 0 apart.  Retrieval, the triplet loss and
@@ -104,8 +117,13 @@ def euclidean_distances64(
     gg_max = gg.max(initial=0.0)
     if max(qq.max(initial=0.0), gg_max) > np.finfo(np.float64).max / 4:
         raise DataError("features hold a row too large for float64 distances")
-    d = qq[:, None] + gg[None, :]
-    d -= 2.0 * (q @ g.T)
+    d = q @ g.T
+    d *= 2.0
+    chunk = chunk_rows(len(g))
+    buf = np.empty((min(chunk, len(q)), len(g)))  # once per call, not per chunk
+    for rows in row_blocks(len(q), chunk):
+        sums = np.add(qq[rows, None], gg, out=buf[:rows.stop - rows.start])
+        np.subtract(sums, d[rows], out=d[rows])
     # candidates against the largest ||g_j||^2 first, so the exact test
     # runs on a few entries; then at most len(g) pairs of rows at a time
     cand = np.flatnonzero(d <= 1e-10 * (qq + gg_max)[:, None])
@@ -145,6 +163,7 @@ def cosine_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
         d = qn[rows].astype(np.float64) @ gn.T
         np.subtract(1.0, d, out=d)
         out[rows] = np.clip(d, 0.0, 2.0, out=d)
+        del d  # before the next block's product is allocated
     return out
 
 

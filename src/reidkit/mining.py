@@ -25,6 +25,10 @@ class SampleClass(Enum):
     NOISE = "noise"
 
 
+_CLASSES = tuple(SampleClass)  # by code: 0 clean, 1 hard, 2 noise
+_CODES = {cls: code for code, cls in enumerate(_CLASSES)}
+
+
 @dataclass(frozen=True)
 class MiningThresholds:
     t_hard: float
@@ -41,10 +45,8 @@ class MiningReport:
     partition: list
 
     def counts(self) -> dict:
-        out = {cls: 0 for cls in SampleClass}
-        for c in self.partition:
-            out[c] += 1
-        return out
+        codes = np.fromiter(map(_CODES.__getitem__, self.partition), np.intp, len(self.partition))
+        return dict(zip(SampleClass, np.bincount(codes, minlength=len(_CODES)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -93,15 +95,9 @@ def partition_samples(losses, thresholds: MiningThresholds) -> MiningReport:
     losses = np.asarray(losses, dtype=np.float64)
     if np.isnan(losses).any():
         raise DataError("losses contain NaN")
-    partition = []
-    for v in losses:
-        if v >= thresholds.t_noise:
-            partition.append(SampleClass.NOISE)
-        elif v >= thresholds.t_hard:
-            partition.append(SampleClass.HARD)
-        else:
-            partition.append(SampleClass.CLEAN)
-    return MiningReport(losses=losses, partition=partition)
+    # t_hard < t_noise, so the two tests add up to 0 (clean), 1 (hard) or 2 (noise)
+    codes = (losses >= thresholds.t_hard).astype(np.intp) + (losses >= thresholds.t_noise)
+    return MiningReport(losses=losses, partition=list(map(_CLASSES.__getitem__, codes.tolist())))
 
 
 def thresholds_from_quantiles(losses, q_hard: float = 0.7, q_noise: float = 0.97) -> MiningThresholds:

@@ -159,6 +159,8 @@ def run_pipeline(cfg: PipelineConfig):
             exclude_same_camera=cfg.exclude_same_camera, topk=cfg.topk,
         )
 
+    # each array is dropped after its last use, and a stage's matrix, once
+    # scored, before the next stage computes its own
     rows = []
     qn = _stage("normalize", l2_normalize, q)
     gn = _stage("normalize", l2_normalize, g)
@@ -170,19 +172,25 @@ def run_pipeline(cfg: PipelineConfig):
         gf = _stage("load", tensorio.load_features, cfg.gallery_flipped)
         qn = _stage("normalize", l2_normalize, _stage("tta", fuse_flip_features, q, qf))
         gn = _stage("normalize", l2_normalize, _stage("tta", fuse_flip_features, g, gf))
+        del q, g, qf, gf, dist
         dist = _stage("distances", DISTANCES[cfg.metric], qn, gn)
         rows.append(("+tta", score("evaluate", dist)))
+    else:
+        del q, g
 
     if cfg.aqe and cfg.aqe_stage == "pre":
+        del dist
         qn = _stage("aqe", aqe_expand, qn, gn, aqe_params)
         dist = _stage("distances", DISTANCES[cfg.metric], qn, gn)
         rows.append(("+aqe", score("evaluate", dist)))
 
     if cfg.rerank:
+        del dist
         dist = _stage("rerank", k_reciprocal_rerank, qn, gn, rerank_params)
         rows.append(("+rerank", score("evaluate", dist)))
 
     if cfg.aqe and cfg.aqe_stage == "post":
+        del dist
         qn = _stage("aqe", aqe_expand, qn, gn, aqe_params)
         if cfg.rerank:
             dist = _stage("rerank", k_reciprocal_rerank, qn, gn, rerank_params)
@@ -190,11 +198,11 @@ def run_pipeline(cfg: PipelineConfig):
             dist = _stage("distances", DISTANCES[cfg.metric], qn, gn)
         rows.append(("+aqe", score("evaluate", dist)))
 
+    del qn, gn
     if cfg.ensemble:
         extern = [_stage("ensemble", tensorio.load_distances, p) for p in cfg.ensemble]
-        dist = _stage(
-            "ensemble", ensemble_distances, [dist] + extern, cfg.normalize_ensemble
-        )
+        dist = _stage("ensemble", ensemble_distances, [dist, *extern], cfg.normalize_ensemble)
+        del extern
         rows.append(("+ensemble", score("evaluate", dist)))
 
     report = rows[-1][1]

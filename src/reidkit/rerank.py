@@ -37,7 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .geometry import BLOCK_ROWS, euclidean_distances, feature_pair, l2_normalize, row_blocks
+from .geometry import (
+    BLOCK_ROWS,
+    chunk_rows,
+    euclidean_distances64,
+    feature_pair,
+    l2_normalize,
+    row_blocks,
+    squared_norms,
+)
 
 
 @dataclass(frozen=True)
@@ -218,8 +226,12 @@ def k_reciprocal_rerank(q: np.ndarray, g: np.ndarray, params: RerankParams = Rer
     if params.k1 >= n:
         raise ConfigError(f"k1={params.k1} must be below the total sample count {n}")
 
-    feats = np.vstack([q, g])
-    dist = euclidean_distances(feats, feats)
+    feats = np.vstack([q, g], dtype=np.float64)
+    norms = squared_norms(feats)
+    dist = np.empty((n, n), dtype=np.float32)
+    # squared_norms walks these same blocks, so norms[rows] are the block's own
+    for rows in row_blocks(n):
+        dist[rows] = euclidean_distances64(feats[rows], feats, norms, norms[rows])
     top = _neighbours(dist, params.k1)
     vp, vx = _expanded_sets(top, dist)
 
@@ -273,12 +285,13 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
 
     With ``normalize`` each input is min-max scaled to [0, 1] over its own
     entries first (a constant matrix maps to all zeros), with bounds taken
-    once per input over the whole matrix.  The sum runs in float64, one
-    block of rows at a time, straight into the float32 result: besides
-    that result, only a float64 total and a scaled input, each a block of
-    rows in size and allocated once per call, are alive.  Raises DataError,
-    naming the input, on NaN or Inf: with ``normalize`` on an input's
-    bounds, otherwise on each block's sum, which must also fit float32.
+    once per input over the whole matrix.  The sum runs in float64, a few
+    rows at a time (``geometry.chunk_rows``), straight into the float32
+    result: besides that result, only a float64 total and a scaled input,
+    each a chunk of rows in size and allocated once per call, are alive.
+    Raises DataError, naming the input, on NaN or Inf: with ``normalize``
+    on an input's bounds, otherwise on the sum of each block of
+    ``BLOCK_ROWS`` rows, which must also fit float32.
     """
     mats = [np.asarray(m) for m in matrices]
     if not mats:
@@ -295,23 +308,26 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
         if bound is not None and not np.isfinite(bound[1] - bound[0]):
             raise DataError(f"ensemble input {i} holds NaN or Inf, or spans more than float64")
     out = np.empty(shape, dtype=np.float32)
-    # reused by every block, so two blocks' temporaries are never alive at once
-    total_buf = np.empty((min(shape[0], BLOCK_ROWS), shape[1]))
+    # reused by every chunk, so two chunks' temporaries are never alive at once
+    chunk = chunk_rows(shape[1])
+    total_buf = np.empty((min(shape[0], chunk), shape[1]))
     scaled_buf = np.empty_like(total_buf) if normalize else None
-    for rows in row_blocks(shape[0]):
-        total = total_buf[:rows.stop - rows.start]
-        total.fill(0.0)
-        for m, bound in zip(mats, bounds):
-            if bound is None:
-                total += m[rows]
-            elif bound[1] > bound[0]:
-                lo, hi = bound
-                scaled = np.subtract(m[rows], lo, dtype=np.float64, out=scaled_buf[:len(total)])
-                scaled /= hi - lo
-                total += scaled
-        out[rows] = total
-        if not normalize and not np.isfinite([out[rows].min(), out[rows].max()]).all():
-            bad = [i for i, m in enumerate(mats) if not np.isfinite(m[rows]).all()]
+    for block in row_blocks(shape[0]):
+        for at in range(block.start, block.stop, chunk):
+            rows = slice(at, min(at + chunk, block.stop))
+            total = total_buf[:rows.stop - rows.start]
+            total.fill(0.0)
+            for m, bound in zip(mats, bounds):
+                if bound is None:
+                    total += m[rows]
+                elif bound[1] > bound[0]:
+                    lo, hi = bound
+                    scaled = np.subtract(m[rows], lo, dtype=np.float64, out=scaled_buf[:len(total)])
+                    scaled /= hi - lo
+                    total += scaled
+            out[rows] = total
+        if not normalize and not np.isfinite([out[block].min(), out[block].max()]).all():
+            bad = [i for i, m in enumerate(mats) if not np.isfinite(m[block]).all()]
             raise DataError(f"ensemble input {bad[0]} holds NaN or Inf" if bad
                             else "the ensemble sum overflows float32")
     return out

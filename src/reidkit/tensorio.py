@@ -56,10 +56,13 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 at byte {exc.start}") from None
 
 
-def write_bytes(path, data) -> None:
-    """Write the bytes-like ``data`` to ``path``; an OS-level failure is an :class:`IoError`."""
+def write_bytes(path, *chunks) -> None:
+    """Write the bytes-like ``chunks`` to ``path``, one after another and
+    without joining them; an OS-level failure is an :class:`IoError`."""
     try:
-        Path(path).write_bytes(data)
+        with Path(path).open("wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -187,7 +190,7 @@ def _load_binary(path, magic):
     tag, n, d = _HEADER.unpack_from(blob)
     if tag != magic:
         raise FormatError(f"{path}: bad magic {tag!r}, expected {magic!r}")
-    payload = blob[_HEADER.size:]
+    payload = memoryview(blob)[_HEADER.size:]
     expected = n * d * 4
     if len(payload) != expected:
         raise FormatError(
@@ -197,12 +200,10 @@ def _load_binary(path, magic):
 
 
 def _save_binary(m, path, magic):
-    """Header and little-endian payload, written from one buffer the size of the file."""
-    m = _validate(m, magic)
-    blob = bytearray(_HEADER.size + m.nbytes)
-    _HEADER.pack_into(blob, 0, magic, m.shape[0], m.shape[1])
-    np.frombuffer(blob, dtype="<f4", offset=_HEADER.size).reshape(m.shape)[...] = m
-    write_bytes(path, blob)
+    """Header and little-endian payload, the payload written straight from the
+    validated array (copied only on a big-endian machine)."""
+    m = _validate(m, magic).astype("<f4", copy=False)
+    write_bytes(path, _HEADER.pack(magic, m.shape[0], m.shape[1]), m)
 
 
 def load_features(path) -> np.ndarray:

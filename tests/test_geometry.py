@@ -191,8 +191,19 @@ def test_distances_peak_near_their_float32_output(distances):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the float32 output plus float64 temporaries of one block of rows
-    assert peak < 2.75 * 1000 * 5000 * 4, f"peak {peak / (1000 * 5000 * 4):.2f} x nq*ng*4"
+    # the float32 output plus one float64 block of rows and the features
+    assert peak < 2.0 * 1000 * 5000 * 4, f"peak {peak / (1000 * 5000 * 4):.2f} x nq*ng*4"
+
+
+@pytest.mark.parametrize("nq,ng,d", [(257, 301, 515), (37, 5000, 1031), (130, 64, 2048)])
+def test_kernel_equals_the_sum_then_subtract_formula(nq, ng, d):
+    # the kernel doubles q @ g.T in place and subtracts it from qq + gg a few
+    # rows at a time; each entry must round as fl(fl(qq + gg) - fl(2 q.g))
+    rng = np.random.default_rng(d)
+    q, g = rng.normal(size=(nq, d)), rng.normal(size=(ng, d))
+    qq, gg = np.sum(q * q, axis=1), np.sum(g * g, axis=1)
+    formula = np.sqrt(qq[:, None] + gg[None, :] - 2.0 * (q @ g.T))
+    assert np.array_equal(euclidean_distances64(q, g), formula)
 
 
 def test_cosine_zero_vector_gets_distance_one():

@@ -132,6 +132,18 @@ def test_partition_boundaries():
     assert counts[SampleClass.NOISE] == 2
 
 
+def test_partition_and_counts_equal_the_per_sample_loop():
+    rng = np.random.default_rng(41)
+    losses = np.concatenate([rng.random(997) * 3.0, [1.0, 2.0, np.inf, -np.inf, 0.0]])
+    thresholds = MiningThresholds(t_hard=1.0, t_noise=2.0)
+    expected = [SampleClass.NOISE if v >= 2.0 else SampleClass.HARD if v >= 1.0
+                else SampleClass.CLEAN for v in losses]
+    report = partition_samples(losses, thresholds)
+    assert all(got is want for got, want in zip(report.partition, expected, strict=True))
+    assert report.counts() == {cls: expected.count(cls) for cls in SampleClass}
+    assert list(report.counts()) == list(SampleClass)
+
+
 def test_partition_rejects_inverted_thresholds():
     with pytest.raises(ConfigError):
         partition_samples([1.0], MiningThresholds(t_hard=2.0, t_noise=2.0))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,36 @@ def test_pipeline_ensemble_with_external_matrix(dataset):
     assert np.allclose(saved, 2.0 * external, atol=1e-6)
     # doubling a matrix never changes its rankings
     assert report.map == rows[0][1].map
+
+
+def test_pipeline_peak_stays_near_three_distance_matrices(tmp_path):
+    features, meta = generate_synthetic(
+        SynthParams(n_ids=500, per_id=12, dims=64, cluster_spread=0.11, seed=29))
+    qf, qm, gf, gm = split_query_gallery(features, meta, 2)
+    rng = np.random.default_rng(29)
+    paths = {"query_features": tmp_path / "q.fvec", "gallery_features": tmp_path / "g.fvec",
+             "query_meta": tmp_path / "q.csv", "gallery_meta": tmp_path / "g.csv"}
+    save_features(qf, paths["query_features"])
+    save_features(gf, paths["gallery_features"])
+    save_meta(qm, paths["query_meta"])
+    save_meta(gm, paths["gallery_meta"])
+    for name, f in (("query_flipped", qf), ("gallery_flipped", gf)):
+        save_features(f + rng.normal(scale=0.03, size=f.shape).astype(np.float32), tmp_path / name)
+    save_distances(rng.random((len(qf), len(gf)), dtype=np.float32), tmp_path / "ext.dmat")
+    cfg = _base_config(paths, tmp_path, tta=True, aqe=True, aqe_stage="pre",
+                       query_flipped=str(tmp_path / "query_flipped"),
+                       gallery_flipped=str(tmp_path / "gallery_flipped"),
+                       ensemble=[str(tmp_path / "ext.dmat")], normalize_ensemble=True)
+    tracemalloc.start()
+    try:
+        _, rows = run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [name for name, _ in rows] == ["baseline", "+tta", "+aqe", "+ensemble"]
+    # the ensemble's two inputs and its output; every earlier matrix is gone
+    matrix = len(qf) * len(gf) * 4
+    assert peak < 3.5 * matrix, f"peak {peak / matrix:.2f} x nq*ng*4"
 
 
 def test_pipeline_cosine_metric(dataset):
