@@ -16,7 +16,7 @@ import numpy as np
 from . import augment as aug
 from . import tensorio
 from .errors import ConfigError, DataError, ReidkitError
-from .evaluation import evaluate_distances, save_cmc_csv, save_report
+from .evaluation import check_topk, evaluate_distances, save_cmc_csv, save_report
 from .geometry import DISTANCES, l2_normalize
 from .losses import (
     CircleParams,
@@ -29,6 +29,7 @@ from .losses import (
 )
 from .mining import (
     MiningThresholds,
+    check_quantiles,
     partition_samples,
     per_sample_losses,
     save_mining_report,
@@ -129,11 +130,12 @@ def _add_rerank(sub):
 
 
 def _cmd_rerank(args):
+    params = RerankParams(**_given(RerankParams, args))
     q = tensorio.load_features(args.query)
     g = tensorio.load_features(args.gallery)
     if args.l2_normalize:
         q, g = l2_normalize(q), l2_normalize(g)
-    dist = k_reciprocal_rerank(q, g, RerankParams(**_given(RerankParams, args)))
+    dist = k_reciprocal_rerank(q, g, params)
     tensorio.save_distances(dist, args.out)
     print(f"wrote {args.out} ({dist.shape[0]}x{dist.shape[1]})")
     return 0
@@ -148,9 +150,10 @@ def _add_aqe(sub):
 
 
 def _cmd_aqe(args):
+    params = AqeParams(**_given(AqeParams, args))
     q = tensorio.load_features(args.query)
     g = tensorio.load_features(args.gallery)
-    expanded = aqe_expand(q, g, AqeParams(**_given(AqeParams, args)))
+    expanded = aqe_expand(q, g, params)
     tensorio.save_features(expanded, args.out)
     print(f"wrote {args.out} ({expanded.shape[0]}x{expanded.shape[1]})")
     return 0
@@ -183,6 +186,7 @@ def _add_eval(sub):
 
 
 def _cmd_eval(args):
+    check_topk(args.topk)
     dist = tensorio.load_distances(args.distances)
     qmeta = tensorio.load_meta(args.query_meta)
     gmeta = tensorio.load_meta(args.gallery_meta)
@@ -217,6 +221,13 @@ def _cmd_mine(args):
         raise ConfigError("provide --features or --losses")
     if (args.t_hard is None) != (args.t_noise is None):
         raise ConfigError("provide both --t-hard and --t-noise, or neither")
+    if args.t_hard is not None:
+        thresholds = MiningThresholds(t_hard=args.t_hard, t_noise=args.t_noise)
+    else:
+        quantiles = {name: q for name, q in (("q_hard", args.q_hard), ("q_noise", args.q_noise))
+                     if q is not None}
+        check_quantiles(**quantiles)
+    triplet = TripletParams(**_given(TripletParams, args)) if args.losses is None else None
     meta = tensorio.load_meta(args.meta)
     if args.losses is not None:
         losses = tensorio.load_features(args.losses)
@@ -229,14 +240,9 @@ def _cmd_mine(args):
             )
     else:
         features = tensorio.load_features(args.features)
-        losses = per_sample_losses(features, meta, TripletParams(**_given(TripletParams, args)))
-    if args.t_hard is not None:
-        thresholds = MiningThresholds(t_hard=args.t_hard, t_noise=args.t_noise)
-    else:
-        quantiles = {"q_hard": args.q_hard, "q_noise": args.q_noise}
-        thresholds = thresholds_from_quantiles(
-            losses, **{name: q for name, q in quantiles.items() if q is not None}
-        )
+        losses = per_sample_losses(features, meta, triplet)
+    if args.t_hard is None:
+        thresholds = thresholds_from_quantiles(losses, **quantiles)
     report = partition_samples(losses, thresholds)
     save_mining_report(report, meta, args.out)
     counts = report.counts()
@@ -258,16 +264,18 @@ def _add_augment(sub):
 
 
 def _cmd_augment(args):
-    img = aug.load_ppm(args.input)
     rng = make_rng(args.seed)
+    if args.op == "erase":
+        params = aug.EraseParams(**_given(aug.EraseParams, args))
+    elif args.op == "lgt":
+        params = aug.LgtParams(**_given(aug.LgtParams, args))
+    img = aug.load_ppm(args.input)
     if args.op == "flip":
         aug.save_ppm(aug.horizontal_flip(img), args.out)
         print(f"wrote {args.out}")
         return 0
-    if args.op == "erase":
-        out, rect = aug.random_erase(img, aug.EraseParams(**_given(aug.EraseParams, args)), rng)
-    else:
-        out, rect = aug.local_grayscale(img, aug.LgtParams(**_given(aug.LgtParams, args)), rng)
+    op = aug.random_erase if args.op == "erase" else aug.local_grayscale
+    out, rect = op(img, params, rng)
     aug.save_ppm(out, args.out)
     where = f"rect(top={rect.top}, left={rect.left}, h={rect.height}, w={rect.width})" if rect else "no-op"
     print(f"wrote {args.out} ({where})")
@@ -285,13 +293,13 @@ def _add_loss_check(sub):
 
 
 def _cmd_loss_check(args):
-    features = tensorio.load_features(args.features)
-    labels = tensorio.load_meta(args.meta).person_ids
     params = CombinedParams(
         **_given(CombinedParams, args),
         triplet=TripletParams(**_given(TripletParams, args)),
         circle=CircleParams(**_given(CircleParams, args)),
     )
+    features = tensorio.load_features(args.features)
+    labels = tensorio.load_meta(args.meta).person_ids
     loss_t, _ = triplet_loss_batch_hard(features, labels, params.triplet)
     loss_c = circle_loss(features, labels, params.circle)
     total = combined_loss(features, labels, params)

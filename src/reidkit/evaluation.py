@@ -48,7 +48,7 @@ def rank_gallery(distances: np.ndarray) -> np.ndarray:
     distances = np.asarray(distances)
     if distances.ndim != 2:
         raise ConfigError(f"distance matrix must be 2-D, got shape {distances.shape}")
-    if np.isnan(distances).any():
+    if np.isnan(distances.max(initial=0)):
         raise DataError("distance matrix contains NaN")
     n, m = distances.shape
     order = np.argsort(distances, axis=1)
@@ -64,6 +64,12 @@ def rank_gallery(distances: np.ndarray) -> np.ndarray:
     return np.remainder(key, m, out=key)
 
 
+def check_topk(topk):
+    """ConfigError unless the CMC curve has at least one rank."""
+    if topk < 1:
+        raise ConfigError(f"topk must be >= 1, got {topk}")
+
+
 def _check_layout(matrix, what, query_meta, gallery_meta, topk):
     if matrix.ndim != 2:
         raise ConfigError(f"{what} must be 2-D, got shape {matrix.shape}")
@@ -72,8 +78,7 @@ def _check_layout(matrix, what, query_meta, gallery_meta, topk):
             f"metadata sizes ({len(query_meta)}, {len(gallery_meta)}) do not match "
             f"{what} shape {matrix.shape}"
         )
-    if topk < 1:
-        raise ConfigError(f"topk must be >= 1, got {topk}")
+    check_topk(topk)
 
 
 def _pairs(query_meta, gallery_meta):

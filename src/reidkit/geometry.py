@@ -183,7 +183,7 @@ def fuse_flip_features(orig: np.ndarray, flipped: np.ndarray) -> np.ndarray:
         raise ShapeError(f"shape mismatch: {orig.shape} vs {flipped.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the output
         fused = ((orig.astype(np.float64) + flipped.astype(np.float64)) * 0.5).astype(np.float32)
-    if not np.isfinite(fused).all():
+    if not np.isfinite([fused.min(initial=0.0), fused.max(initial=0.0)]).all():
         raise DataError("fused flip features hold NaN or Inf")
     return fused
 

@@ -100,16 +100,21 @@ def partition_samples(losses, thresholds: MiningThresholds) -> MiningReport:
     return MiningReport(losses=losses, partition=list(map(_CLASSES.__getitem__, codes.tolist())))
 
 
+def check_quantiles(q_hard: float = 0.7, q_noise: float = 0.97) -> None:
+    """ConfigError unless 0 < q_hard < q_noise < 1."""
+    if not (0.0 < q_hard < q_noise < 1.0):
+        raise ConfigError(
+            f"quantile fractions must satisfy 0 < q_hard < q_noise < 1, got {q_hard}, {q_noise}"
+        )
+
+
 def thresholds_from_quantiles(losses, q_hard: float = 0.7, q_noise: float = 0.97) -> MiningThresholds:
     """Derive thresholds as empirical quantiles (linear interpolation).
 
     Degenerate distributions may produce t_hard == t_noise, which
     :class:`MiningThresholds` rejects.  Raises DataError on a NaN loss.
     """
-    if not (0.0 < q_hard < q_noise < 1.0):
-        raise ConfigError(
-            f"quantile fractions must satisfy 0 < q_hard < q_noise < 1, got {q_hard}, {q_noise}"
-        )
+    check_quantiles(q_hard, q_noise)
     losses = np.asarray(losses, dtype=np.float64)
     if np.isnan(losses).any():
         raise DataError("losses contain NaN")

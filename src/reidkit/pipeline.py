@@ -22,6 +22,7 @@ from .errors import ConfigError, ReidkitError
 from .evaluation import (
     EvalReport,
     ablation_table,
+    check_topk,
     evaluate_distances,
     save_cmc_csv,
     save_report,
@@ -64,6 +65,7 @@ class PipelineConfig:
             choices = f.metadata.get("choices")
             if choices and getattr(self, f.name) not in choices:
                 raise ConfigError(f"{f.name} must be one of {choices}, got {getattr(self, f.name)!r}")
+        check_topk(self.topk)
 
 
 def field_default(f):

@@ -283,15 +283,14 @@ def aqe_expand(q: np.ndarray, g: np.ndarray, params: AqeParams = AqeParams()) ->
 def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
     """Elementwise sum of identically shaped distance matrices.
 
-    With ``normalize`` each input is min-max scaled to [0, 1] over its own
-    entries first (a constant matrix maps to all zeros), with bounds taken
-    once per input over the whole matrix.  The sum runs in float64, a few
-    rows at a time (``geometry.chunk_rows``), straight into the float32
-    result: besides that result, only a float64 total and a scaled input,
-    each a chunk of rows in size and allocated once per call, are alive.
-    Raises DataError, naming the input, on NaN or Inf: with ``normalize``
-    on an input's bounds, otherwise on the sum of each block of
-    ``BLOCK_ROWS`` rows, which must also fit float32.
+    Each input's float64 bounds are taken once, in list order; the first
+    input whose span ``max - min`` is not finite (NaN or Inf, or a span
+    beyond float64) raises DataError naming it.  With ``normalize`` each
+    input is min-max scaled to [0, 1] by those bounds (a constant matrix
+    maps to all zeros).  The sum runs in float64, a few rows at a time
+    (``geometry.chunk_rows``), straight into the float32 result, through a
+    total and a scaled buffer of one chunk each, allocated once per call.
+    Without ``normalize`` a sum beyond float32 raises DataError.
     """
     mats = [np.asarray(m) for m in matrices]
     if not mats:
@@ -303,31 +302,26 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
         if m.shape != shape:
             raise ShapeError(f"shape mismatch in ensemble: {m.shape} vs {shape}")
     # float64 bounds: hi - lo taken in float32 would round differently
-    bounds = [(np.float64(m.min()), np.float64(m.max())) if normalize else None for m in mats]
-    for i, bound in enumerate(bounds):
-        if bound is not None and not np.isfinite(bound[1] - bound[0]):
+    bounds = [(np.float64(m.min()), np.float64(m.max())) for m in mats]
+    for i, (lo, hi) in enumerate(bounds):
+        if not np.isfinite(hi - lo):
             raise DataError(f"ensemble input {i} holds NaN or Inf, or spans more than float64")
     out = np.empty(shape, dtype=np.float32)
     # reused by every chunk, so two chunks' temporaries are never alive at once
     chunk = chunk_rows(shape[1])
     total_buf = np.empty((min(shape[0], chunk), shape[1]))
     scaled_buf = np.empty_like(total_buf) if normalize else None
-    for block in row_blocks(shape[0]):
-        for at in range(block.start, block.stop, chunk):
-            rows = slice(at, min(at + chunk, block.stop))
-            total = total_buf[:rows.stop - rows.start]
-            total.fill(0.0)
-            for m, bound in zip(mats, bounds):
-                if bound is None:
-                    total += m[rows]
-                elif bound[1] > bound[0]:
-                    lo, hi = bound
-                    scaled = np.subtract(m[rows], lo, dtype=np.float64, out=scaled_buf[:len(total)])
-                    scaled /= hi - lo
-                    total += scaled
-            out[rows] = total
-        if not normalize and not np.isfinite([out[block].min(), out[block].max()]).all():
-            bad = [i for i, m in enumerate(mats) if not np.isfinite(m[block]).all()]
-            raise DataError(f"ensemble input {bad[0]} holds NaN or Inf" if bad
-                            else "the ensemble sum overflows float32")
+    for rows in row_blocks(shape[0], chunk):
+        total = total_buf[:rows.stop - rows.start]
+        total.fill(0.0)
+        for m, (lo, hi) in zip(mats, bounds):
+            if not normalize:
+                total += m[rows]
+            elif hi > lo:
+                scaled = np.subtract(m[rows], lo, dtype=np.float64, out=scaled_buf[:len(total)])
+                scaled /= hi - lo
+                total += scaled
+        out[rows] = total
+    if not normalize and not np.isfinite([out.min(), out.max()]).all():
+        raise DataError("the ensemble sum overflows float32")
     return out

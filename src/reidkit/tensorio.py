@@ -165,8 +165,9 @@ def _validate(m, magic, source=None) -> np.ndarray:
     """Check a matrix against its format and return it as contiguous float32.
 
     Both formats need a non-empty 2-D matrix of finite values; ``.dmat``
-    also needs non-negative ones.  The checks apply to the float32 values
-    that get written, so a value that overflows float32 is rejected.
+    also needs non-negative ones.  The checks read only the min and max of
+    the float32 values that get written (NaN or Inf shows in them, and so
+    does a value that overflows float32), so they build no mask.
     ``source`` (a file path) prefixes the messages of the loaders.
     """
     kind = _KINDS[magic]
@@ -176,9 +177,10 @@ def _validate(m, magic, source=None) -> np.ndarray:
         raise DataError(f"{where}{kind} must be 2-D and non-empty, got shape {m.shape}")
     with np.errstate(over="ignore"):
         m = np.ascontiguousarray(m, dtype=np.float32)
-    if not np.all(np.isfinite(m)):
+    lo, hi = m.min(), m.max()
+    if not np.isfinite([lo, hi]).all():
         raise DataError(f"{where}{kind} contains NaN or Inf (as float32)")
-    if magic == DMAT_MAGIC and np.any(m < 0):
+    if magic == DMAT_MAGIC and lo < 0:
         raise DataError(f"{where}{kind} contains negative entries")
     return m
 

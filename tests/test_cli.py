@@ -208,6 +208,7 @@ def test_mine_rejects_a_negative_margin_by_name(tmp_path, capsys):
     ["--aqe", "--aqe-alpha", "-1"],
     ["--k2", "30"],  # re-ranking disabled: its keys are still checked
     ["--aqe-k", "-1"],
+    ["--topk", "0"],
 ])
 def test_pipeline_checks_params_before_reading_any_input(tmp_path, capsys, flags):
     missing = [str(tmp_path / name) for name in ("q.fvec", "g.fvec", "q.csv", "g.csv")]
@@ -216,6 +217,40 @@ def test_pipeline_checks_params_before_reading_any_input(tmp_path, capsys, flags
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "cannot read" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rerank", "--query", "q.fvec", "--gallery", "g.fvec", "--k1", "0", "--out", "o.dmat"],
+    ["aqe", "--query", "q.fvec", "--gallery", "g.fvec", "--k", "-1", "--out", "o.fvec"],
+    ["eval", "--distances", "d.dmat", "--query-meta", "q.csv", "--gallery-meta", "g.csv",
+     "--topk", "0"],
+    ["mine", "--features", "f.fvec", "--meta", "m.csv", "--margin", "-1", "--out", "o.csv"],
+    ["mine", "--features", "f.fvec", "--meta", "m.csv", "--t-hard", "2", "--t-noise", "1",
+     "--out", "o.csv"],
+    ["mine", "--losses", "l.fvec", "--meta", "m.csv", "--q-hard", "0.99", "--out", "o.csv"],
+    ["loss-check", "--features", "f.fvec", "--meta", "m.csv", "--gamma", "-1"],
+    ["augment", "--op", "erase", "--probability", "2", "--input", "in.ppm", "--out", "o.ppm"],
+    ["augment", "--op", "lgt", "--probability", "2", "--input", "in.ppm", "--out", "o.ppm"],
+    ["augment", "--op", "flip", "--seed", "-1", "--input", "in.ppm", "--out", "o.ppm"],
+], ids=["rerank-k1", "aqe-k", "eval-topk", "mine-margin", "mine-thresholds", "mine-quantiles",
+        "loss-check-gamma", "augment-erase", "augment-lgt", "augment-seed"])
+def test_subcommands_check_params_before_reading_any_input(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)  # every input named is missing
+    assert main(argv) == 2
+    assert "cannot read" not in capsys.readouterr().err
+
+
+def test_ignored_params_are_not_checked(tmp_path, capsys):
+    save_ppm(np.zeros((4, 4, 3), dtype=np.uint8), tmp_path / "in.ppm")
+    assert main(["augment", "--op", "flip", "--probability", "2",
+                 "--input", str(tmp_path / "in.ppm"), "--out", str(tmp_path / "out.ppm")]) == 0
+    save_features(np.linspace(0.0, 1.0, 16, dtype=np.float32)[None], tmp_path / "l.fvec")
+    _, meta = generate_synthetic(SynthParams(n_ids=4, per_id=4, dims=6, seed=7))
+    save_meta(meta, tmp_path / "m.csv")
+    assert main(["mine", "--losses", str(tmp_path / "l.fvec"), "--meta", str(tmp_path / "m.csv"),
+                 "--margin", "-1", "--t-hard", "0.2", "--t-noise", "0.9", "--q-hard", "2",
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    capsys.readouterr()
 
 
 def test_pipeline_out_dir_below_a_file_exits_3(tmp_path, capsys):

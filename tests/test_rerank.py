@@ -419,6 +419,12 @@ def test_ensemble_validation():
             early[3, 0], late[BLOCK_ROWS - 1, 0] = np.nan, np.nan
             with pytest.raises(DataError, match="input 0"):
                 ensemble_distances([late, early])
+        # bounds are taken in list order, so the first bad input is named
+        # wherever its entries lie, in both modes
+        first, second = ones.copy(), ones.copy()
+        first[BLOCK_ROWS + 1, 0], second[0, 0] = np.nan, np.inf
+        with pytest.raises(DataError, match="ensemble input 0 holds NaN or Inf"):
+            ensemble_distances([first, second], normalize)
         # +Inf in one input and -Inf in the other sum to NaN
         plus, minus = ones.copy(), ones.copy()
         plus[0, 0], minus[0, 0] = np.inf, -np.inf
