@@ -436,6 +436,9 @@ def test_ensemble_validation():
     assert np.array_equal(ensemble_distances([huge, huge], normalize=True), np.zeros((2, 2)))
     with pytest.raises(DataError):
         ensemble_distances([np.array([[-1e308, 1e308]])], normalize=True)
+    # a float64 span beyond float64 names its input in plain mode too
+    with pytest.raises(DataError, match="ensemble input 0 holds NaN or Inf, or spans more"):
+        ensemble_distances([np.array([[-1e308, 1e308]])])
 
 
 def test_aqe_peak_memory_stays_below_the_similarity_matrix():
