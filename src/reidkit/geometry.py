@@ -6,10 +6,14 @@ parallelize over rows.  Query x gallery passes here and in ``rerank`` fill
 their float32 output ``BLOCK_ROWS`` query rows at a time, the batch-hard
 pass in ``losses`` walks the same blocks of anchors and GeM pooling the
 same blocks of pixel rows, so their float64 temporaries stay a block in
-size whatever the number of queries or pixels.  Within a block, in-place
-passes such as the distance kernel's sum of squared norms work through one
-buffer of ``chunk_rows`` rows, so a block holds one float64 array of its
-own size, not several.
+size whatever the number of queries or pixels.  The gallery side is
+blocked too: distances and query expansion upcast the float32 gallery
+``4 * BLOCK_ROWS`` rows at a time (``_gallery_blocks``), so no pass holds a
+float64 copy of the whole gallery, and each entry's product is the one a
+whole-gallery product gives.  Within a block, in-place passes such as the
+distance kernel's sum of squared norms and flip fusion's mean work through
+one buffer of ``chunk_rows`` rows, so a block holds one float64 array of
+its own size, not several.
 """
 
 from __future__ import annotations
@@ -32,6 +36,20 @@ def row_blocks(n, size=BLOCK_ROWS):
 def chunk_rows(ncols):
     """Rows of ``ncols`` float64 entries that fit one ``CHUNK_ELEMENTS`` chunk (at least 1)."""
     return max(1, CHUNK_ELEMENTS // max(ncols, 1))
+
+
+def _gallery_blocks(g):
+    """``(cols, g[cols] as float64)`` over blocks of ``4 * BLOCK_ROWS`` gallery rows.
+
+    A last block of one row joins the block before it: numpy multiplies a
+    one-row operand through BLAS gemv, which sums in another order than
+    gemm, so its products could differ from a whole-gallery ``q @ g.T``.
+    """
+    blocks = row_blocks(len(g), 4 * BLOCK_ROWS)
+    if len(blocks) > 1 and blocks[-1].stop - blocks[-1].start == 1:
+        blocks[-2:] = [slice(blocks[-2].start, len(g))]
+    for cols in blocks:
+        yield cols, g[cols].astype(np.float64)
 
 
 def squared_norms(x):
@@ -139,13 +157,24 @@ def euclidean_distances64(
 
 
 def euclidean_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances ||q_i - g_j||, rounded to float32; DataError on NaN/Inf."""
+    """Pairwise Euclidean distances ||q_i - g_j||, rounded to float32; DataError on NaN/Inf.
+
+    Fills the output one tile at a time: each block of gallery rows is
+    upcast once and its squared norms taken, then each ``BLOCK_ROWS`` block
+    of queries goes through ``euclidean_distances64`` against it, with the
+    query norms taken once per call.  Every entry equals the one a single
+    kernel call on the whole float64 gallery gives.
+    """
     q, g = feature_pair(q, g)
-    g = g.astype(np.float64)
-    gg = squared_norms(g)
+    query_blocks = row_blocks(q.shape[0])
+    qq = np.empty(q.shape[0])
+    for rows in query_blocks:
+        qq[rows] = squared_norms(q[rows].astype(np.float64))
     out = np.empty((q.shape[0], g.shape[0]), dtype=np.float32)
-    for rows in row_blocks(q.shape[0]):
-        out[rows] = euclidean_distances64(q[rows].astype(np.float64), g, gg)
+    for cols, gb in _gallery_blocks(g):
+        gg = squared_norms(gb)
+        for rows in query_blocks:
+            out[rows, cols] = euclidean_distances64(q[rows].astype(np.float64), gb, gg, qq[rows])
     return out
 
 
@@ -154,16 +183,20 @@ def cosine_distances(q: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     Zero vectors have undefined direction and are assigned distance 1 to
     everything (similarity 0).  Raises DataError on NaN or Inf features.
+    The rows are normalized in float32, then each tile of ``BLOCK_ROWS``
+    queries by one block of gallery rows is multiplied in float64 and
+    finished in place in its own product before it is rounded to float32.
     """
     q, g = feature_pair(q, g)
     qn = l2_normalize(q)
-    gn = l2_normalize(g).astype(np.float64)
+    gn = l2_normalize(g)
     out = np.empty((q.shape[0], g.shape[0]), dtype=np.float32)
-    for rows in row_blocks(q.shape[0]):
-        d = qn[rows].astype(np.float64) @ gn.T
-        np.subtract(1.0, d, out=d)
-        out[rows] = np.clip(d, 0.0, 2.0, out=d)
-        del d  # before the next block's product is allocated
+    for cols, gb in _gallery_blocks(gn):
+        for rows in row_blocks(q.shape[0]):
+            d = qn[rows].astype(np.float64) @ gb.T
+            np.subtract(1.0, d, out=d)
+            out[rows, cols] = np.clip(d, 0.0, 2.0, out=d)
+            del d  # before the next tile's product is allocated
     return out
 
 
@@ -174,15 +207,24 @@ DISTANCES = {"euclidean": euclidean_distances, "cosine": cosine_distances}
 def fuse_flip_features(orig: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     """Elementwise mean of the original-image and flipped-image features.
 
-    Raises DataError when the float32 mean holds NaN or Inf: NaN and Inf
-    inputs carry into it, and so does a mean beyond float32's range.
+    The mean is taken in float64, ``chunk_rows`` rows at a time through one
+    buffer, and written into the float32 result, so the only float64 array
+    is one chunk.  Raises DataError when the float32 mean holds NaN or Inf:
+    NaN and Inf inputs carry into it, and so does a mean beyond float32's
+    range.
     """
     orig = _as_2d(orig, "original features")
     flipped = _as_2d(flipped, "flipped features")
     if orig.shape != flipped.shape:
         raise ShapeError(f"shape mismatch: {orig.shape} vs {flipped.shape}")
+    fused = np.empty(orig.shape, dtype=np.float32)
+    chunk = chunk_rows(orig.shape[1])
+    buf = np.empty((min(chunk, orig.shape[0]), orig.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # checked on the output
-        fused = ((orig.astype(np.float64) + flipped.astype(np.float64)) * 0.5).astype(np.float32)
+        for rows in row_blocks(orig.shape[0], chunk):
+            mean = np.add(orig[rows], flipped[rows], dtype=np.float64, out=buf[:rows.stop - rows.start])
+            mean *= 0.5
+            fused[rows] = mean
     if not np.isfinite([fused.min(initial=0.0), fused.max(initial=0.0)]).all():
         raise DataError("fused flip features hold NaN or Inf")
     return fused

@@ -170,11 +170,12 @@ def run_pipeline(cfg: PipelineConfig):
     rows.append(("baseline", score("evaluate", dist)))
 
     if cfg.tta:
+        del dist
         qf = _stage("load", tensorio.load_features, cfg.query_flipped)
         gf = _stage("load", tensorio.load_features, cfg.gallery_flipped)
         qn = _stage("normalize", l2_normalize, _stage("tta", fuse_flip_features, q, qf))
         gn = _stage("normalize", l2_normalize, _stage("tta", fuse_flip_features, g, gf))
-        del q, g, qf, gf, dist
+        del q, g, qf, gf
         dist = _stage("distances", DISTANCES[cfg.metric], qn, gn)
         rows.append(("+tta", score("evaluate", dist)))
     else:
@@ -203,7 +204,8 @@ def run_pipeline(cfg: PipelineConfig):
     del qn, gn
     if cfg.ensemble:
         extern = [_stage("ensemble", tensorio.load_distances, p) for p in cfg.ensemble]
-        dist = _stage("ensemble", ensemble_distances, [dist, *extern], cfg.normalize_ensemble)
+        # summed into the pipeline's own matrix; the loaded ones stay read-only
+        dist = _stage("ensemble", ensemble_distances, [dist, *extern], cfg.normalize_ensemble, out=dist)
         del extern
         rows.append(("+ensemble", score("evaluate", dist)))
 

@@ -27,6 +27,13 @@ distances, p in N(x, k) exactly when (d(x, p), p) comes no later than
 x's k-th neighbour; the expanded sets from the bitmap, one block of rows
 at a time; and the Jaccard term from an inverted index over gallery
 columns.
+
+Query expansion holds, besides its float32 normalized inputs, one block
+of query rows' float64 similarities (filled one block of gallery rows at
+a time, the gallery upcast only a block at a time) and its partition
+copy.  The ensemble sums a few rows at a time into a fresh float32 result
+or, with ``out=``, into one of its own inputs, so a caller that owns a
+matrix holds no second one for the sum.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import numpy as np
 from .errors import ConfigError, DataError, ShapeError
 from .geometry import (
     BLOCK_ROWS,
+    _gallery_blocks,
     chunk_rows,
     euclidean_distances64,
     feature_pair,
@@ -255,32 +263,41 @@ def aqe_expand(q: np.ndarray, g: np.ndarray, params: AqeParams = AqeParams()) ->
     result is re-normalized.  Negative similarities contribute weight 0
     (fractional alpha is undefined for them).  k=0 returns the normalized
     queries unchanged.  Raises DataError on NaN or Inf features.  Runs one
-    block of query rows at a time, with no per-query loop.
+    block of query rows at a time, with no per-query loop: the block's
+    float64 similarities to the float32 normalized gallery are multiplied
+    one block of gallery rows at a time (``geometry._gallery_blocks``) into
+    one array, negated in place for the neighbour search, and only the
+    gathered neighbour rows of the gallery are upcast.  Negation and the
+    float32 to float64 cast are exact, so the result is the one a float64
+    copy of the whole gallery gives.
     """
     q, g = feature_pair(q, g)
     if params.k > g.shape[0]:
         raise ConfigError(f"k={params.k} exceeds gallery size {g.shape[0]}")
 
     qn = l2_normalize(q)
-    gn = l2_normalize(g).astype(np.float64)  # before k=0 returns: it checks g
+    gn = l2_normalize(g)  # before k=0 returns: it checks g
     if params.k == 0:
         return qn
     expanded = np.empty(qn.shape)
+    sims = np.empty((min(BLOCK_ROWS, len(qn)), len(gn)))  # reused by every block
     for rows in row_blocks(qn.shape[0]):
         qb = qn[rows].astype(np.float64)
-        sim = qb @ gn.T
-        order = _neighbours(-sim, params.k)
-        s = np.take_along_axis(sim, order, axis=1)
+        neg = sims[:len(qb)]
+        for cols, gb in _gallery_blocks(gn):
+            np.matmul(qb, gb.T, out=neg[:, cols])
+        order = _neighbours(np.negative(neg, out=neg), params.k)
+        s = -np.take_along_axis(neg, order, axis=1)
         # sim**alpha, except non-positive similarities drop out entirely
         # (fractional alpha is undefined there, and 0**0 would weight them 1)
         w = np.where(s > 0.0, np.power(np.maximum(s, 0.0), params.alpha), 0.0)
-        acc = qb + np.matmul(w[:, None, :], gn[order])[:, 0]
+        acc = qb + np.matmul(w[:, None, :], gn[order].astype(np.float64))[:, 0]
         expanded[rows] = acc / (1.0 + w.sum(axis=1))[:, None]
     return l2_normalize(expanded)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise DataError below
-def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
+def ensemble_distances(matrices, normalize: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise sum of identically shaped distance matrices.
 
     Each input's float64 bounds are taken once, in list order; the first
@@ -291,6 +308,14 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
     (``geometry.chunk_rows``), straight into the float32 result, through a
     total and a scaled buffer of one chunk each, allocated once per call.
     Without ``normalize`` a sum beyond float32 raises DataError.
+
+    ``out``, as in numpy, is a writable float32 array of the inputs' shape
+    that receives the result and is returned; ShapeError otherwise.  It may
+    be one of the inputs themselves (the pipeline sums into its own
+    matrix): the bounds are taken before the first row is written, and each
+    chunk reads all its inputs before it writes those rows of ``out``.  It
+    must not overlap any other input.  On a DataError it may hold part of
+    the sum.
     """
     mats = [np.asarray(m) for m in matrices]
     if not mats:
@@ -301,12 +326,19 @@ def ensemble_distances(matrices, normalize: bool = False) -> np.ndarray:
             raise ShapeError(f"distance matrices must be 2-D and non-empty, got shape {m.shape}")
         if m.shape != shape:
             raise ShapeError(f"shape mismatch in ensemble: {m.shape} vs {shape}")
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float32 and out.shape == shape
+              and out.flags.writeable):
+        raise ShapeError(f"ensemble out must be a writable float32 array of shape {shape}")
+    elif any(np.may_share_memory(m, out) and (m.ctypes.data, m.strides) != (out.ctypes.data, out.strides)
+             for m in mats):
+        raise ShapeError("ensemble out overlaps an input it is not")
     # float64 bounds: hi - lo taken in float32 would round differently
     bounds = [(np.float64(m.min()), np.float64(m.max())) for m in mats]
     for i, (lo, hi) in enumerate(bounds):
         if not np.isfinite(hi - lo):
             raise DataError(f"ensemble input {i} holds NaN or Inf, or spans more than float64")
-    out = np.empty(shape, dtype=np.float32)
     # reused by every chunk, so two chunks' temporaries are never alive at once
     chunk = chunk_rows(shape[1])
     total_buf = np.empty((min(shape[0], chunk), shape[1]))

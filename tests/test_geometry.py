@@ -6,17 +6,21 @@ import pytest
 
 from naive_reference import naive_gem
 from reidkit import (
+    AqeParams,
     ConfigError,
     DataError,
     GemParams,
     ShapeError,
+    aqe_expand,
     cosine_distances,
     euclidean_distances,
     fuse_flip_features,
     gem_pool,
     l2_normalize,
 )
-from reidkit.geometry import BLOCK_ROWS, euclidean_distances64
+from reidkit.geometry import BLOCK_ROWS, _gallery_blocks, euclidean_distances64, row_blocks
+
+GALLERY_BLOCK = 4 * BLOCK_ROWS  # gallery rows per float64 block, see _gallery_blocks
 
 
 def test_l2_normalize_unit_rows():
@@ -180,19 +184,90 @@ def test_row_blocked_distances_equal_one_unblocked_kernel_call(nq):
     assert np.array_equal(cosine_distances(q, g), whole.astype(np.float32))
 
 
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("distances", [euclidean_distances, cosine_distances])
 def test_distances_peak_near_their_float32_output(distances):
     rng = np.random.default_rng(13)
     q = rng.normal(size=(1000, 64)).astype(np.float32)
     g = rng.normal(size=(5000, 64)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        distances(q, g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the float32 output plus one float64 block of rows and the features
-    assert peak < 2.0 * 1000 * 5000 * 4, f"peak {peak / (1000 * 5000 * 4):.2f} x nq*ng*4"
+    peak = _peak(distances, q, g)
+    # the float32 output plus one float64 tile, one block of gallery rows and
+    # the normalized features; a float64 copy of the whole gallery is 0.1 more
+    assert peak < 1.3 * 1000 * 5000 * 4, f"peak {peak / (1000 * 5000 * 4):.2f} x nq*ng*4"
+
+
+@pytest.mark.parametrize("fn,bound", [(euclidean_distances, 1.35), (cosine_distances, 1.6), (aqe_expand, 1.75)])
+def test_query_gallery_peaks_at_the_retrieval_width(fn, bound):
+    # at d=256 a float64 copy of the gallery is half the output; with one
+    # block of it these passes read 1.27x, 1.54x and 1.65x (cosine's two
+    # normalized float32 copies are 0.31x, AQE's similarities and their
+    # partition copy 0.5x each), where a whole copy gave 2.13x, 2.10x, 2.32x
+    rng = np.random.default_rng(14)
+    q = rng.normal(size=(1000, 256)).astype(np.float32)
+    g = rng.normal(size=(5000, 256)).astype(np.float32)
+    peak = _peak(fn, q, g)
+    assert peak <= bound * 1000 * 5000 * 4, f"peak {peak / (1000 * 5000 * 4):.2f} x nq*ng*4"
+
+
+def test_gallery_blocks_cover_the_gallery_without_a_one_row_tail():
+    for n in (0, 1, 2, GALLERY_BLOCK - 1, GALLERY_BLOCK, GALLERY_BLOCK + 1, GALLERY_BLOCK + 2, 3 * GALLERY_BLOCK + 1):
+        g = np.arange(n * 2, dtype=np.float32).reshape(n, 2)
+        blocks = list(_gallery_blocks(g))
+        cols = [c for c, _ in blocks]
+        assert [i for c in cols for i in range(c.start, c.stop)] == list(range(n))
+        assert all(c.stop - c.start >= 2 for c in cols) or n == 1
+        assert all(c.stop - c.start <= GALLERY_BLOCK + 1 for c in cols)
+        for c, gb in blocks:
+            assert gb.dtype == np.float64 and np.array_equal(gb, g[c])
+
+
+def _whole_gallery_aqe(q, g, params):
+    """AQE from one float64 copy of the whole normalized gallery, per block of queries."""
+    qn, gn = l2_normalize(q), l2_normalize(g).astype(np.float64)
+    expanded = np.empty(qn.shape)
+    for rows in row_blocks(len(qn)):
+        qb = qn[rows].astype(np.float64)
+        sim = qb @ gn.T
+        order = np.argsort(-sim, axis=1, kind="stable")[:, :params.k]
+        s = np.take_along_axis(sim, order, axis=1)
+        w = np.where(s > 0.0, np.power(np.maximum(s, 0.0), params.alpha), 0.0)
+        acc = qb + np.matmul(w[:, None, :], gn[order])[:, 0]
+        expanded[rows] = acc / (1.0 + w.sum(axis=1))[:, None]
+    return l2_normalize(expanded)
+
+
+@pytest.mark.parametrize("d", [32, 256, 2048])
+@pytest.mark.parametrize("ng", [1, GALLERY_BLOCK - 1, GALLERY_BLOCK, GALLERY_BLOCK + 1, 2 * GALLERY_BLOCK + 1])
+def test_gallery_blocks_equal_the_whole_gallery_formula(ng, d):
+    # each product is taken against one block of gallery rows; BLAS must give
+    # every entry the bits of the whole-gallery product, or this fails loudly
+    rng = np.random.default_rng(ng * 7 + d)
+    nq = BLOCK_ROWS + 1  # a one-row block of queries as well
+    q = rng.normal(size=(nq, d)).astype(np.float32)
+    g = rng.normal(size=(ng, d)).astype(np.float32)
+    g[-1] = g[0]  # duplicated rows, one of them in the last block
+    g[ng // 2] = g[0]
+    q[0] = g[-1]  # a query equal to gallery rows: exact zeros and ties
+    q[1] = 0.0
+    q64, g64 = q.astype(np.float64), g.astype(np.float64)
+    whole = np.empty((nq, ng), dtype=np.float32)
+    for rows in row_blocks(nq):
+        whole[rows] = euclidean_distances64(q64[rows], g64)
+    assert np.array_equal(euclidean_distances(q, g), whole)
+    qn, gn = l2_normalize(q).astype(np.float64), l2_normalize(g).astype(np.float64)
+    for rows in row_blocks(nq):
+        whole[rows] = np.clip(1.0 - qn[rows] @ gn.T, 0.0, 2.0)
+    assert np.array_equal(cosine_distances(q, g), whole)
+    params = AqeParams(k=min(5, ng))
+    assert np.array_equal(aqe_expand(q, g, params), _whole_gallery_aqe(q, g, params))
 
 
 @pytest.mark.parametrize("nq,ng,d", [(257, 301, 515), (37, 5000, 1031), (130, 64, 2048)])
@@ -222,6 +297,19 @@ def test_fuse_flip_is_mean():
     assert np.array_equal(fuse_flip_features(a, a), a)
     with pytest.raises(ShapeError):
         fuse_flip_features(a, b[:-1])
+
+
+def test_fuse_flip_chunks_equal_the_whole_matrix_mean_and_peak_near_the_output():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(5000, 256)).astype(np.float32)
+    b = rng.normal(size=(5000, 256)).astype(np.float32)
+    whole = ((a.astype(np.float64) + b.astype(np.float64)) * 0.5).astype(np.float32)
+    assert np.array_equal(fuse_flip_features(a, b), whole)
+    odd = a[:, :7].astype(np.float64)  # float64 input, several chunks and a ragged last one
+    assert np.array_equal(fuse_flip_features(odd, odd[::-1]), ((odd + odd[::-1]) * 0.5).astype(np.float32))
+    # one chunk of float64 next to the float32 result; whole-matrix copies gave 4.0x
+    peak = _peak(fuse_flip_features, a, b)
+    assert peak <= 1.25 * whole.nbytes, f"peak {peak / whole.nbytes:.2f} x the output"
 
 
 @pytest.mark.parametrize("orig, flipped", [([[np.nan, 1.0]], [[0.0, 1.0]]),

@@ -231,9 +231,10 @@ def test_pipeline_ensemble_with_external_matrix(dataset):
     assert report.map == rows[0][1].map
 
 
-def test_pipeline_peak_stays_near_three_distance_matrices(tmp_path):
+@pytest.mark.parametrize("dims", [64, 256])
+def test_pipeline_peak_stays_near_two_distance_matrices(tmp_path, dims):
     features, meta = generate_synthetic(
-        SynthParams(n_ids=500, per_id=12, dims=64, cluster_spread=0.11, seed=29))
+        SynthParams(n_ids=500, per_id=12, dims=dims, cluster_spread=0.11, seed=29))
     qf, qm, gf, gm = split_query_gallery(features, meta, 2)
     rng = np.random.default_rng(29)
     paths = {"query_features": tmp_path / "q.fvec", "gallery_features": tmp_path / "g.fvec",
@@ -256,9 +257,11 @@ def test_pipeline_peak_stays_near_three_distance_matrices(tmp_path):
     finally:
         tracemalloc.stop()
     assert [name for name, _ in rows] == ["baseline", "+tta", "+aqe", "+ensemble"]
-    # the ensemble's two inputs and its output; every earlier matrix is gone
+    # the ensemble sums into the pipeline's own matrix next to the loaded one,
+    # and no stage holds a float64 copy of the gallery (3.11x and 3.05x with
+    # a fresh ensemble output and whole-gallery upcasts)
     matrix = len(qf) * len(gf) * 4
-    assert peak < 3.5 * matrix, f"peak {peak / matrix:.2f} x nq*ng*4"
+    assert peak <= 2.3 * matrix, f"peak {peak / matrix:.2f} x nq*ng*4"
 
 
 def test_pipeline_cosine_metric(dataset):
