@@ -76,8 +76,7 @@ def _given(cls, args) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-def _add_synth(sub):
-    p = sub.add_parser("synth", help="generate a seeded synthetic embedding dataset")
+def _add_synth(p):
     _add_params(p, SynthParams)
     p.add_argument("--out-prefix", required=True, help="writes PREFIX.fvec and PREFIX.csv")
     p.add_argument(
@@ -100,8 +99,7 @@ def _cmd_synth(args):
     return 0
 
 
-def _add_distances(sub):
-    p = sub.add_parser("distances", help="pairwise query x gallery distance matrix")
+def _add_distances(p):
     p.add_argument("--query", required=True)
     p.add_argument("--gallery", required=True)
     p.add_argument("--metric", choices=list(DISTANCES), default="euclidean")
@@ -120,8 +118,7 @@ def _cmd_distances(args):
     return 0
 
 
-def _add_rerank(sub):
-    p = sub.add_parser("rerank", help="k-reciprocal re-ranking of query x gallery distances")
+def _add_rerank(p):
     p.add_argument("--query", required=True)
     p.add_argument("--gallery", required=True)
     _add_params(p, RerankParams)
@@ -141,8 +138,7 @@ def _cmd_rerank(args):
     return 0
 
 
-def _add_aqe(sub):
-    p = sub.add_parser("aqe", help="alpha-weighted query expansion")
+def _add_aqe(p):
     p.add_argument("--query", required=True)
     p.add_argument("--gallery", required=True)
     _add_params(p, AqeParams)
@@ -159,8 +155,7 @@ def _cmd_aqe(args):
     return 0
 
 
-def _add_ensemble(sub):
-    p = sub.add_parser("ensemble", help="elementwise sum of distance matrices")
+def _add_ensemble(p):
     p.add_argument("inputs", nargs="+", help=".dmat files to fuse")
     p.add_argument("--normalize", action="store_true", help="min-max scale each input first")
     p.add_argument("--out", required=True)
@@ -174,8 +169,7 @@ def _cmd_ensemble(args):
     return 0
 
 
-def _add_eval(sub):
-    p = sub.add_parser("eval", help="mAP/CMC evaluation of a distance matrix")
+def _add_eval(p):
     p.add_argument("--distances", required=True)
     p.add_argument("--query-meta", required=True)
     p.add_argument("--gallery-meta", required=True)
@@ -203,8 +197,7 @@ def _cmd_eval(args):
     return 0
 
 
-def _add_mine(sub):
-    p = sub.add_parser("mine", help="loss-based clean/hard/noise partition")
+def _add_mine(p):
     p.add_argument("--features", default=None, help="features to compute the losses from (unless --losses)")
     p.add_argument("--meta", required=True)
     _add_params(p, TripletParams)
@@ -254,8 +247,7 @@ def _cmd_mine(args):
     return 0
 
 
-def _add_augment(sub):
-    p = sub.add_parser("augment", help="pixel augmentations on PPM (P6) images")
+def _add_augment(p):
     p.add_argument("--op", choices=["flip", "erase", "lgt"], required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
@@ -282,8 +274,7 @@ def _cmd_augment(args):
     return 0
 
 
-def _add_loss_check(sub):
-    p = sub.add_parser("loss-check", help="loss values (and gradient check) for a feature set")
+def _add_loss_check(p):
     p.add_argument("--features", required=True)
     p.add_argument("--meta", required=True)
     for cls in (TripletParams, CircleParams, CombinedParams):
@@ -321,8 +312,7 @@ def _cmd_loss_check(args):
     return 0
 
 
-def _add_pipeline(sub):
-    p = sub.add_parser("pipeline", help="full retrieval pipeline with ablation report")
+def _add_pipeline(p):
     p.add_argument("--config", default=None, help="flat key=value config file")
     _add_params(p, PipelineConfig)
 
@@ -338,17 +328,18 @@ def _cmd_pipeline(args):
     return 0
 
 
+# The one list of subcommands, in `reidkit --help` order: name -> (help, add flags, run).
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "distances": _cmd_distances,
-    "rerank": _cmd_rerank,
-    "aqe": _cmd_aqe,
-    "ensemble": _cmd_ensemble,
-    "eval": _cmd_eval,
-    "mine": _cmd_mine,
-    "augment": _cmd_augment,
-    "loss-check": _cmd_loss_check,
-    "pipeline": _cmd_pipeline,
+    "synth": ("generate a seeded synthetic embedding dataset", _add_synth, _cmd_synth),
+    "distances": ("pairwise query x gallery distance matrix", _add_distances, _cmd_distances),
+    "rerank": ("k-reciprocal re-ranking of query x gallery distances", _add_rerank, _cmd_rerank),
+    "aqe": ("alpha-weighted query expansion", _add_aqe, _cmd_aqe),
+    "ensemble": ("elementwise sum of distance matrices", _add_ensemble, _cmd_ensemble),
+    "eval": ("mAP/CMC evaluation of a distance matrix", _add_eval, _cmd_eval),
+    "mine": ("loss-based clean/hard/noise partition", _add_mine, _cmd_mine),
+    "augment": ("pixel augmentations on PPM (P6) images", _add_augment, _cmd_augment),
+    "loss-check": ("loss values (and gradient check) for a feature set", _add_loss_check, _cmd_loss_check),
+    "pipeline": ("full retrieval pipeline with ablation report", _add_pipeline, _cmd_pipeline),
 }
 
 
@@ -358,23 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical core of a person re-identification retrieval pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_synth(sub)
-    _add_distances(sub)
-    _add_rerank(sub)
-    _add_aqe(sub)
-    _add_ensemble(sub)
-    _add_eval(sub)
-    _add_mine(sub)
-    _add_augment(sub)
-    _add_loss_check(sub)
-    _add_pipeline(sub)
+    for name, (summary, add, _) in _COMMANDS.items():
+        add(sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, _, run = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        return run(args)
     except ReidkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -9,11 +9,13 @@ without a single potential match are skipped and only counted.
 AP per query is the mean of i / r_i over its matches, where r_i is the
 1-based rank of the i-th match in the (possibly camera-filtered) list;
 CMC[k] is the fraction of valid queries with a match in the top k.  Lists
-are ranked in ascending (distance, index) order.  AP and CMC only need the
-places of a query's matches and junk items in that list: one row at a
-time, ``evaluate_distances`` reads them straight from the distances and
-``evaluate`` from a given ranking, for (query, gallery) pairs built once
-per call.  One pass over all pairs then scores every query, with no loop.
+are ranked in ascending (distance, index) order, the order of a stable
+argsort, which ``rank_gallery`` returns.  AP and CMC only need the places
+of a query's matches and junk items in that list: one row at a time,
+``evaluate_distances`` reads them straight from the distances, with no
+ranking built, and ``evaluate`` from a given ranking, for (query, gallery)
+pairs built once per call.  One pass over all pairs then scores every
+query, with no loop.
 """
 
 from __future__ import annotations
@@ -37,31 +39,17 @@ class EvalReport:
 def rank_gallery(distances: np.ndarray) -> np.ndarray:
     """Gallery indices of each query row in ascending (distance, index) order.
 
-    Equals ``np.argsort(distances, axis=1, kind="stable")``: equal distances
+    ``np.argsort(distances, axis=1, kind="stable")``: equal distances
     (``-0.0`` and ``0.0`` included) keep index order, so rankings are
-    deterministic.  The order comes from numpy's default unstable argsort;
-    each position then gets the start of its run of equal sorted values,
-    and one sort of the integer keys ``run_start * m + index`` puts every
-    run of ties in index order.  NaN has no place in this order, so a NaN
-    distance raises DataError.
+    deterministic.  NaN has no place in this order, so a NaN distance
+    raises DataError.
     """
     distances = np.asarray(distances)
     if distances.ndim != 2:
         raise ConfigError(f"distance matrix must be 2-D, got shape {distances.shape}")
     if np.isnan(distances.max(initial=0)):
         raise DataError("distance matrix contains NaN")
-    n, m = distances.shape
-    order = np.argsort(distances, axis=1)
-    values = np.take_along_axis(distances, order, axis=1)
-    starts_run = np.ones((n, m), dtype=bool)
-    np.not_equal(values[:, 1:], values[:, :-1], out=starts_run[:, 1:])
-    del values  # freed before the key array is made: the peak stays near twice the output
-    key = starts_run * np.arange(m)
-    np.maximum.accumulate(key, axis=1, out=key)
-    key *= m
-    key += order
-    key.sort(axis=1)
-    return np.remainder(key, m, out=key)
+    return np.argsort(distances, axis=1, kind="stable")
 
 
 def check_topk(topk):

@@ -143,11 +143,11 @@ def _cosine_matrix(x):
 
     The norms are ``np.linalg.norm(x, axis=1)`` bit for bit, taken through
     ``squared_norms`` so that a row whose squares overflow raises DataError.
+    A zero row keeps its zero norm and normalizes to itself.
     """
     norms = np.sqrt(squared_norms(x))
-    safe = np.where(norms == 0.0, 1.0, norms)
-    y = x / safe[:, None]
-    return y @ y.T, y, safe
+    y = x / np.where(norms == 0.0, 1.0, norms)[:, None]
+    return y @ y.T, y, norms
 
 
 def _circle_terms(sim, pos_mask, neg_mask, params):
@@ -244,9 +244,8 @@ def _circle_gradient(x, labels, params):
     w = w + w.T  # symmetrize: each unordered pair pulls on both endpoints
 
     row_ws = np.sum(w * sim, axis=1)
-    grad = (w @ y - row_ws[:, None] * y) / norms[:, None]
-    zero_rows = np.linalg.norm(x, axis=1) == 0.0
-    grad[zero_rows] = 0.0
+    grad = (w @ y - row_ws[:, None] * y) / np.where(norms == 0.0, 1.0, norms)[:, None]
+    grad[norms == 0.0] = 0.0  # a zero row has no direction to move along
     return grad
 
 

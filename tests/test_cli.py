@@ -77,6 +77,7 @@ def test_flag_inventory_is_pinned():
             else:
                 found[name].append((flag, [getattr(c, "value", c) for c in action.choices]))
     assert found == FLAG_INVENTORY
+    assert list(sub.choices) == list(FLAG_INVENTORY)  # the order `reidkit --help` lists them in
 
 
 @pytest.fixture()
