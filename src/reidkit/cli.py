@@ -162,10 +162,10 @@ def _add_ensemble(p):
 
 
 def _cmd_ensemble(args):
-    mats = [tensorio.load_distances(p) for p in args.inputs]
-    fused = ensemble_distances(mats, normalize=args.normalize)
+    inputs = [tensorio.open_distances(p) for p in args.inputs]
+    fused = ensemble_distances(inputs, normalize=args.normalize)
     tensorio.save_distances(fused, args.out)
-    print(f"wrote {args.out} (sum of {len(mats)} matrices)")
+    print(f"wrote {args.out} (sum of {len(inputs)} matrices)")
     return 0
 
 

@@ -203,10 +203,10 @@ def run_pipeline(cfg: PipelineConfig):
 
     del qn, gn
     if cfg.ensemble:
-        extern = [_stage("ensemble", tensorio.load_distances, p) for p in cfg.ensemble]
-        # summed into the pipeline's own matrix; the loaded ones stay read-only
+        # each file is checked when opened, then read a few rows at a time as
+        # the sum into the pipeline's own matrix needs them, never whole
+        extern = [_stage("ensemble", tensorio.open_distances, p) for p in cfg.ensemble]
         dist = _stage("ensemble", ensemble_distances, [dist, *extern], cfg.normalize_ensemble, out=dist)
-        del extern
         rows.append(("+ensemble", score("evaluate", dist)))
 
     report = rows[-1][1]

@@ -19,13 +19,14 @@ Memory: one (q+g) x (q+g) float32 distance matrix, which exact neighbour
 order, the reciprocal test and the row encoding read, freed once the
 q x g block the blend needs is copied out; for the expansion, a bool
 bitmap of ``BLOCK_ROWS`` x (q+g) bytes; V in sparse row form with about
-(q+g) * |expanded set| entries (local query expansion briefly holds k2
-times that); and, for the Jaccard term and the blend, float64 arrays of
-one block of query rows by g.  Neighbour lists come from a partition to
-k1 over blocks of rows; the reciprocal sets from a rank test on those
-distances, p in N(x, k) exactly when (d(x, p), p) comes no later than
-x's k-th neighbour; the expanded sets from the bitmap, one block of rows
-at a time; and the Jaccard term from an inverted index over gallery
+(q+g) * |expanded set| entries (local query expansion merges one block of
+``BLOCK_ROWS`` rows at a time, so its k2-fold merge keys exist for one
+block only); and, for the Jaccard term and the blend, float64 arrays of
+``geometry.chunk_rows`` query rows by g.  Neighbour lists come from a
+partition to k1 over blocks of rows; the reciprocal sets from a rank test
+on those distances, p in N(x, k) exactly when (d(x, p), p) comes no later
+than x's k-th neighbour; the expanded sets from the bitmap, one block of
+rows at a time; and the Jaccard term from an inverted index over gallery
 columns.
 
 Query expansion holds, besides its float32 normalized inputs, one block
@@ -33,7 +34,9 @@ of query rows' float64 similarities (filled one block of gallery rows at
 a time, the gallery upcast only a block at a time) and its partition
 copy.  The ensemble sums a few rows at a time into a fresh float32 result
 or, with ``out=``, into one of its own inputs, so a caller that owns a
-matrix holds no second one for the sum.
+matrix holds no second one for the sum; an input opened with
+``tensorio.open_distances`` is read from its file a chunk at a time, so
+fusing k files holds no more than fusing one.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .geometry import (
     row_blocks,
     squared_norms,
 )
+from .tensorio import DistanceFile
 
 
 @dataclass(frozen=True)
@@ -169,26 +173,32 @@ def _local_query_expansion(vp, vx, vv, nb):
     """V with row p replaced by the mean of the rows ``nb[p]``, in neighbour order.
 
     V comes and goes in sparse row form: row indices ``vp`` (sorted),
-    column indices ``vx`` and values ``vv``.
+    column indices ``vx`` and values ``vv``.  The new rows are merged one
+    block of rows at a time, so the merge keys exist for one block only;
+    each key's weights still add in neighbour order.
     """
     n, k2 = nb.shape
     v_ptr = _row_ptr(vp, n)
-    nb = nb.ravel()
-    lens = np.diff(v_ptr)[nb]
-    at = _ranges(v_ptr[nb], lens)
-    owner = np.repeat(np.repeat(np.arange(n), k2), lens)
-    keys, inverse = np.unique(owner * n + vx[at], return_inverse=True)
-    vv = np.bincount(inverse, weights=vv[at]) / k2
-    vp, vx = np.divmod(keys, n)
-    return vp, vx, vv
+    v_len = np.diff(v_ptr)
+    keys, sums = [], []
+    for rows in row_blocks(n):
+        block = nb[rows].ravel()
+        lens = v_len[block]
+        at = _ranges(v_ptr[block], lens)
+        owner = np.repeat(np.repeat(np.arange(rows.start, rows.stop), k2), lens)
+        block_keys, inverse = np.unique(owner * n + vx[at], return_inverse=True)
+        keys.append(block_keys)
+        sums.append(np.bincount(inverse, weights=vv[at]))
+    vp, vx = np.divmod(np.concatenate(keys), n)
+    return vp, vx, np.concatenate(sums) / k2
 
 
 def _jaccard_blend(vp, vx, vv, orig, lam):
     """(1 - lam) * Jaccard(V_q, V_g) + lam * ``orig`` over the q x g block, as float32.
 
     sum(min) runs over the shared support through an inverted index of the
-    gallery rows by column, and sum(max) = |V_p| + |V_g| - sum(min); both
-    exist one block of query rows at a time.
+    gallery rows by column, and sum(max) = |V_p| + |V_g| - sum(min); both,
+    and the blend, exist for ``geometry.chunk_rows`` query rows at a time.
     """
     nq, ng = orig.shape
     n = nq + ng
@@ -200,7 +210,7 @@ def _jaccard_blend(vp, vx, vv, orig, lam):
     col_len = np.diff(col_ptr)
     g_row, g_val = vp[gal] - nq, vv[gal]
     out = np.empty((nq, ng), dtype=np.float32)
-    for rows in row_blocks(nq):
+    for rows in row_blocks(nq, chunk_rows(ng)):
         mins = np.empty((rows.stop - rows.start, ng), dtype=np.float64)
         for i in range(rows.start, rows.stop):
             cols, vals = vx[q_ptr[i]:q_ptr[i + 1]], vv[q_ptr[i]:q_ptr[i + 1]]
@@ -300,29 +310,34 @@ def aqe_expand(q: np.ndarray, g: np.ndarray, params: AqeParams = AqeParams()) ->
 def ensemble_distances(matrices, normalize: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise sum of identically shaped distance matrices.
 
-    Each input's float64 bounds are taken once, in list order; the first
-    input whose span ``max - min`` is not finite (NaN or Inf, or a span
-    beyond float64) raises DataError naming it.  With ``normalize`` each
-    input is min-max scaled to [0, 1] by those bounds (a constant matrix
-    maps to all zeros).  The sum runs in float64, a few rows at a time
+    Each input is an array or a :class:`tensorio.DistanceFile` from
+    ``tensorio.open_distances``, which is read a few rows at a time and
+    never held whole.  Each input's float64 bounds are taken once, in list
+    order (a file's are those found when it was opened); the first input
+    whose span ``max - min`` is not finite (NaN or Inf, or a span beyond
+    float64) raises DataError naming it.  With ``normalize`` each input is
+    min-max scaled to [0, 1] by those bounds (a constant matrix maps to all
+    zeros and is not read).  The sum runs in float64, a few rows at a time
     (``geometry.chunk_rows``), straight into the float32 result, through a
     total and a scaled buffer of one chunk each, allocated once per call.
-    Without ``normalize`` a sum beyond float32 raises DataError.
+    Without ``normalize`` a sum beyond float32 raises DataError.  A file
+    that is shorter than when opened, or holds a value outside its bounds,
+    raises FormatError or DataError when its rows are read.
 
     ``out``, as in numpy, is a writable float32 array of the inputs' shape
     that receives the result and is returned; ShapeError otherwise.  It may
     be one of the inputs themselves (the pipeline sums into its own
     matrix): the bounds are taken before the first row is written, and each
     chunk reads all its inputs before it writes those rows of ``out``.  It
-    must not overlap any other input.  On a DataError it may hold part of
-    the sum.
+    must not overlap any other input array.  On an error raised while
+    summing it may hold part of the sum.
     """
-    mats = [np.asarray(m) for m in matrices]
+    mats = [m if isinstance(m, DistanceFile) else np.asarray(m) for m in matrices]
     if not mats:
         raise ConfigError("ensemble needs at least one distance matrix")
     shape = mats[0].shape
     for m in mats:
-        if m.ndim != 2 or m.size == 0:
+        if len(m.shape) != 2 or 0 in m.shape:
             raise ShapeError(f"distance matrices must be 2-D and non-empty, got shape {m.shape}")
         if m.shape != shape:
             raise ShapeError(f"shape mismatch in ensemble: {m.shape} vs {shape}")
@@ -332,10 +347,11 @@ def ensemble_distances(matrices, normalize: bool = False, out: np.ndarray | None
               and out.flags.writeable):
         raise ShapeError(f"ensemble out must be a writable float32 array of shape {shape}")
     elif any(np.may_share_memory(m, out) and (m.ctypes.data, m.strides) != (out.ctypes.data, out.strides)
-             for m in mats):
+             for m in mats if isinstance(m, np.ndarray)):
         raise ShapeError("ensemble out overlaps an input it is not")
     # float64 bounds: hi - lo taken in float32 would round differently
-    bounds = [(np.float64(m.min()), np.float64(m.max())) for m in mats]
+    bounds = [m.bounds if isinstance(m, DistanceFile) else (m.min(), m.max()) for m in mats]
+    bounds = [(np.float64(lo), np.float64(hi)) for lo, hi in bounds]
     for i, (lo, hi) in enumerate(bounds):
         if not np.isfinite(hi - lo):
             raise DataError(f"ensemble input {i} holds NaN or Inf, or spans more than float64")

@@ -12,10 +12,16 @@ non-finite (and, for distances, anything negative) so downstream code can
 rely on those invariants.  Saving then loading reproduces the array
 bit-for-bit, which the golden-replay tests depend on.
 
-``read_bytes``, ``read_text``, ``write_bytes``, ``write_csv`` and ``make_dirs``
-are the only place reidkit touches the file system, so a file that cannot be
-read, decoded or written, or a directory that cannot be created, always ends
-in an ``IoError`` or ``FormatError``.
+``read_bytes``, ``read_span``, ``read_text``, ``write_bytes``, ``write_csv``
+and ``make_dirs`` are the only place reidkit touches the file system, so a
+file that cannot be read, decoded or written, or a directory that cannot be
+created, always ends in an ``IoError`` or ``FormatError``.
+
+``open_distances`` checks a ``.dmat`` file as ``load_distances`` does,
+reading it a few rows at a time (``geometry.chunk_rows``), and returns a
+:class:`DistanceFile`: the path, the shape and the min and max, whose row
+slices are read from the file on demand.  The ensemble sums such handles
+chunk by chunk, so no input matrix is ever held whole.
 """
 
 from __future__ import annotations
@@ -23,12 +29,13 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError, FormatError, IoError
+from .geometry import chunk_rows, row_blocks
 
 FVEC_MAGIC = b"RDF1"
 DMAT_MAGIC = b"RDM1"
@@ -45,6 +52,22 @@ def read_bytes(path) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def read_span(path, offset, size) -> tuple[bytes, int]:
+    """The ``size`` bytes of ``path`` from byte ``offset``, and the file's
+    length; an OS-level failure (a pipe cannot seek) is an :class:`IoError`,
+    and a file that ends before ``offset + size`` a :class:`FormatError`."""
+    try:
+        with Path(path).open("rb") as f:
+            length = f.seek(0, io.SEEK_END)
+            f.seek(offset)
+            data = f.read(size)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    if len(data) != size:
+        raise FormatError(f"{path}: ends at byte {offset + len(data)}, before byte {offset + size}")
+    return data, length
 
 
 def read_text(path) -> str:
@@ -161,44 +184,110 @@ class MetaTable:
         return place, size
 
 
-def _validate(m, magic, source=None) -> np.ndarray:
-    """Check a matrix against its format and return it as contiguous float32.
+def _check_shape(shape, magic, where=""):
+    if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+        raise DataError(f"{where}{_KINDS[magic]} must be 2-D and non-empty, got shape {shape}")
 
-    Both formats need a non-empty 2-D matrix of finite values; ``.dmat``
-    also needs non-negative ones.  The checks read only the min and max of
-    the float32 values that get written (NaN or Inf shows in them, and so
-    does a value that overflows float32), so they build no mask.
-    ``source`` (a file path) prefixes the messages of the loaders.
-    """
+
+def _check_bounds(lo, hi, magic, where=""):
+    """Reject a matrix by its float32 min and max: NaN or Inf shows in them
+    (and so does a value that overflows float32), and for ``.dmat`` a
+    negative entry does.  The loaders' ``where`` is ``"{path}: "``."""
     kind = _KINDS[magic]
-    where = f"{source}: " if source is not None else ""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DataError(f"{where}{kind} must be 2-D and non-empty, got shape {m.shape}")
-    with np.errstate(over="ignore"):
-        m = np.ascontiguousarray(m, dtype=np.float32)
-    lo, hi = m.min(), m.max()
     if not np.isfinite([lo, hi]).all():
         raise DataError(f"{where}{kind} contains NaN or Inf (as float32)")
     if magic == DMAT_MAGIC and lo < 0:
         raise DataError(f"{where}{kind} contains negative entries")
+
+
+def _validate(m, magic, where="") -> np.ndarray:
+    """Check a matrix against its format and return it as contiguous float32.
+
+    Both formats need a non-empty 2-D matrix of finite values; ``.dmat``
+    also needs non-negative ones.  The checks read only the min and max of
+    the float32 values that get written, so they build no mask.
+    """
+    m = np.asarray(m)
+    _check_shape(m.shape, magic, where)
+    with np.errstate(over="ignore"):
+        m = np.ascontiguousarray(m, dtype=np.float32)
+    _check_bounds(m.min(), m.max(), magic, where)
     return m
+
+
+def _check_header(path, head, length, magic):
+    """The (rows, columns) of a file of ``length`` bytes that starts with ``head``."""
+    if length < _HEADER.size:
+        raise FormatError(f"{path}: truncated header ({length} bytes)")
+    tag, n, d = _HEADER.unpack_from(head)
+    if tag != magic:
+        raise FormatError(f"{path}: bad magic {tag!r}, expected {magic!r}")
+    expected = n * d * 4
+    if length - _HEADER.size != expected:
+        raise FormatError(
+            f"{path}: payload is {length - _HEADER.size} bytes, header declares {expected}"
+        )
+    return n, d
 
 
 def _load_binary(path, magic):
     blob = read_bytes(path)
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    tag, n, d = _HEADER.unpack_from(blob)
-    if tag != magic:
-        raise FormatError(f"{path}: bad magic {tag!r}, expected {magic!r}")
+    n, d = _check_header(path, blob, len(blob), magic)
     payload = memoryview(blob)[_HEADER.size:]
-    expected = n * d * 4
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, header declares {expected}"
-        )
-    return _validate(np.frombuffer(payload, dtype="<f4").reshape(n, d), magic, path)
+    return _validate(np.frombuffer(payload, dtype="<f4").reshape(n, d), magic, f"{path}: ")
+
+
+@dataclass(frozen=True)
+class DistanceFile:
+    """A checked ``.dmat`` file, read a few rows at a time and never whole.
+
+    ``path``, ``shape`` and the float32 ``bounds`` (min, max) of its entries
+    are fixed by :func:`open_distances`.  ``f[rows]``, for a slice of step
+    1, reads just those rows from the file as a read-only float32 array.
+    A file that has since become shorter raises FormatError, and rows that
+    hold a value outside ``bounds`` (NaN included) raise DataError, so a
+    file changed after it was opened cannot give a silently wrong sum
+    unless every new value lies within the old bounds.
+    """
+
+    path: str | Path
+    shape: tuple
+    bounds: tuple
+
+    def _read(self, rows):
+        start, stop, step = rows.indices(self.shape[0])
+        if step != 1:
+            raise ValueError(f"rows of a distance file need step 1, got {step}")
+        d = self.shape[1]
+        count = max(stop - start, 0)
+        data, _ = read_span(self.path, _HEADER.size + start * d * 4, count * d * 4)
+        return np.frombuffer(data, dtype="<f4").reshape(count, d)
+
+    def __getitem__(self, rows):
+        block = self._read(rows)
+        lo, hi = self.bounds
+        if block.size and not (block.min() >= lo and block.max() <= hi):
+            raise DataError(f"{self.path}: holds a value outside the bounds it had when opened")
+        return block
+
+
+def open_distances(path) -> DistanceFile:
+    """Check a ``.dmat`` file as :func:`load_distances` does, with the same
+    errors in the same order, and return a :class:`DistanceFile` for it.
+
+    The values are read ``geometry.chunk_rows`` rows at a time for their
+    min and max, so the check holds one chunk, not the matrix.
+    """
+    _, length = read_span(path, 0, 0)
+    head, _ = read_span(path, 0, min(length, _HEADER.size))
+    shape = _check_header(path, head, length, DMAT_MAGIC)
+    _check_shape(shape, DMAT_MAGIC, f"{path}: ")
+    handle = DistanceFile(path, shape, None)
+    chunks = map(handle._read, row_blocks(shape[0], chunk_rows(shape[1])))
+    ends = np.array([(chunk.min(), chunk.max()) for chunk in chunks])  # NaN propagates
+    lo, hi = ends[:, 0].min(), ends[:, 1].max()
+    _check_bounds(lo, hi, DMAT_MAGIC, f"{path}: ")
+    return replace(handle, bounds=(lo, hi))
 
 
 def _save_binary(m, path, magic):
@@ -222,7 +311,8 @@ def save_features(m: np.ndarray, path) -> None:
 
 
 def load_distances(path) -> np.ndarray:
-    """Load a ``.dmat`` file into an (n_query, n_gallery) float32 array."""
+    """Load a ``.dmat`` file into an (n_query, n_gallery) float32 array
+    (:func:`open_distances` checks one without holding it)."""
     return _load_binary(path, DMAT_MAGIC)
 
 

@@ -1,10 +1,11 @@
 """Hostile readers: damaged or odd files end in a ReidkitError, never a traceback.
 
 Each loader gets valid files that have been truncated, bit-flipped and
-spliced; a load must either return or raise a ``ReidkitError``.  The CLI
-cases check the exit codes (3 for data files, 2 for ``--config``), and the
-writer cases pin the exact bytes of the CSV artifacts, CRLF line ends
-included.
+spliced; a load must either return or raise a ``ReidkitError``, and
+``open_distances`` must fail on a damaged ``.dmat`` exactly as
+``load_distances`` does.  The CLI cases check the exit codes (3 for data
+files, 2 for ``--config``), and the writer cases pin the exact bytes of the
+CSV artifacts, CRLF line ends included.
 """
 
 import struct
@@ -28,6 +29,7 @@ from reidkit import (
     load_features,
     load_meta,
     load_ppm,
+    open_distances,
     save_cmc_csv,
     save_distances,
     save_features,
@@ -57,10 +59,16 @@ def _load_config(path):
 LOADERS = {
     "fvec": load_features,
     "dmat": load_distances,
+    "dmat-open": open_distances,
     "ppm": load_ppm,
     "csv": load_meta,
     "cfg": _load_config,
 }
+
+
+def _file(d, kind):
+    """The file a loader reads: ``dmat-open`` reads the ``.dmat`` file."""
+    return d / f"x.{kind.split('-')[0]}"
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +86,8 @@ def valid(tmp_path_factory):
     ]), d / "x.csv")
     (d / "x.cfg").write_bytes(_CONFIG.encode("utf-8"))
     for kind, load in LOADERS.items():  # the undamaged files load
-        load(d / f"x.{kind}")
-    return {kind: (d / f"x.{kind}").read_bytes() for kind in LOADERS}
+        load(_file(d, kind))
+    return {kind: _file(d, kind).read_bytes() for kind in LOADERS}
 
 
 @st.composite
@@ -103,7 +111,7 @@ def damage(draw, blob):
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
 def test_damaged_files_raise_only_reidkit_errors(kind, valid, tmp_path_factory):
-    path = tmp_path_factory.mktemp("hostile") / f"x.{kind}"
+    path = _file(tmp_path_factory.mktemp("hostile"), kind)
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(blob=damage(valid[kind]))
@@ -113,6 +121,27 @@ def test_damaged_files_raise_only_reidkit_errors(kind, valid, tmp_path_factory):
             LOADERS[kind](path)
         except ReidkitError:
             pass
+
+    check()
+
+
+def _outcome(load, path):
+    """What a load gives: the shape and bounds, or the error's class and message."""
+    try:
+        m = load(path)
+    except ReidkitError as exc:
+        return type(exc), str(exc)
+    return m.shape, m.bounds if hasattr(m, "bounds") else (m.min(), m.max())
+
+
+def test_damaged_distance_files_fail_alike_when_opened(valid, tmp_path_factory):
+    path = tmp_path_factory.mktemp("hostile") / "x.dmat"
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(blob=damage(valid["dmat"]))
+    def check(blob):
+        path.write_bytes(blob)
+        assert _outcome(open_distances, path) == _outcome(load_distances, path)
 
     check()
 

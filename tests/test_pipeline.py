@@ -231,8 +231,8 @@ def test_pipeline_ensemble_with_external_matrix(dataset):
     assert report.map == rows[0][1].map
 
 
-@pytest.mark.parametrize("dims", [64, 256])
-def test_pipeline_peak_stays_near_two_distance_matrices(tmp_path, dims):
+@pytest.mark.parametrize("dims,k", [(64, 1), (64, 3), (256, 1), (256, 3)])
+def test_pipeline_peak_does_not_grow_with_the_ensemble(tmp_path, dims, k):
     features, meta = generate_synthetic(
         SynthParams(n_ids=500, per_id=12, dims=dims, cluster_spread=0.11, seed=29))
     qf, qm, gf, gm = split_query_gallery(features, meta, 2)
@@ -245,11 +245,13 @@ def test_pipeline_peak_stays_near_two_distance_matrices(tmp_path, dims):
     save_meta(gm, paths["gallery_meta"])
     for name, f in (("query_flipped", qf), ("gallery_flipped", gf)):
         save_features(f + rng.normal(scale=0.03, size=f.shape).astype(np.float32), tmp_path / name)
-    save_distances(rng.random((len(qf), len(gf)), dtype=np.float32), tmp_path / "ext.dmat")
+    ensemble = [str(tmp_path / f"ext{i}.dmat") for i in range(k)]
+    for path in ensemble:
+        save_distances(rng.random((len(qf), len(gf)), dtype=np.float32), path)
     cfg = _base_config(paths, tmp_path, tta=True, aqe=True, aqe_stage="pre",
                        query_flipped=str(tmp_path / "query_flipped"),
                        gallery_flipped=str(tmp_path / "gallery_flipped"),
-                       ensemble=[str(tmp_path / "ext.dmat")], normalize_ensemble=True)
+                       ensemble=ensemble, normalize_ensemble=True)
     tracemalloc.start()
     try:
         _, rows = run_pipeline(cfg)
@@ -257,11 +259,13 @@ def test_pipeline_peak_stays_near_two_distance_matrices(tmp_path, dims):
     finally:
         tracemalloc.stop()
     assert [name for name, _ in rows] == ["baseline", "+tta", "+aqe", "+ensemble"]
-    # the ensemble sums into the pipeline's own matrix next to the loaded one,
-    # and no stage holds a float64 copy of the gallery (3.11x and 3.05x with
-    # a fresh ensemble output and whole-gallery upcasts)
+    # the ensemble reads each file a few rows at a time into the pipeline's
+    # own matrix, and no stage holds a float64 copy of the gallery; at d=256
+    # query expansion sets the peak (2.11x and 4.05x at d=64, k=1 and k=3,
+    # with the files loaded whole)
     matrix = len(qf) * len(gf) * 4
-    assert peak <= 2.3 * matrix, f"peak {peak / matrix:.2f} x nq*ng*4"
+    bound = 1.5 if dims == 64 else 2.1
+    assert peak <= bound * matrix, f"peak {peak / matrix:.2f} x nq*ng*4"
 
 
 def test_pipeline_cosine_metric(dataset):

@@ -19,10 +19,11 @@ from reidkit import (
     k_reciprocal_rerank,
     l2_normalize,
     load_distances,
+    open_distances,
     save_distances,
 )
-from reidkit.geometry import BLOCK_ROWS, row_blocks
-from reidkit.rerank import _expanded_sets, _neighbours, _reciprocal_pairs
+from reidkit.geometry import BLOCK_ROWS, chunk_rows, row_blocks
+from reidkit.rerank import _expanded_sets, _jaccard_blend, _local_query_expansion, _neighbours, _reciprocal_pairs
 
 
 def _clustered(rng, n_ids, per_id, dims, spread=0.35):
@@ -184,14 +185,39 @@ def test_reciprocal_and_expanded_sets_equal_python_sets(kind):
         assert list(zip(vp.tolist(), vx.tolist())) == expanded, k1
 
 
-@pytest.mark.parametrize("source", ["synthetic", "random"])
+def test_local_query_expansion_and_jaccard_blend_across_blocks():
+    rng = np.random.default_rng(316)
+    # more rows than one block, and more query rows than chunk_rows(ng)
+    n, nq, k2 = 400, 200, 3
+    assert n > BLOCK_ROWS and nq > chunk_rows(n - nq)
+    dense = np.where(rng.random((n, n)) < 0.05, rng.random((n, n)), 0.0)
+    vp, vx = np.nonzero(dense)
+    nb = np.argsort(rng.random((n, n)), axis=1)[:, :k2]
+    vp, vx, vv = _local_query_expansion(vp, vx, dense[vp, vx], nb)
+    # each row the mean of its neighbours' rows, added in neighbour order
+    mean = sum(dense[nb[:, j]] for j in range(k2)) / k2
+    assert np.array_equal(vp * n + vx, np.flatnonzero(mean))
+    assert np.array_equal(vv, mean[vp, vx])
+    orig = rng.random((nq, n - nq)).astype(np.float32)
+    mins = np.array([np.minimum(row, mean[nq:]).sum(axis=1) for row in mean[:nq]])
+    maxs = np.array([np.maximum(row, mean[nq:]).sum(axis=1) for row in mean[:nq]])
+    jaccard = np.where(maxs > 0.0, 1.0 - mins / np.where(maxs > 0.0, maxs, 1.0), 1.0)
+    expected = np.maximum(0.7 * jaccard + 0.3 * orig, 0.0)
+    assert np.allclose(_jaccard_blend(vp, vx, vv, orig, 0.3), expected, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("source", ["synthetic", "random", "n1920"])
 def test_rerank_peak_memory_stays_near_the_distance_matrix(source):
     if source == "synthetic":
         features, _ = generate_synthetic(SynthParams(n_ids=84, per_id=12, dims=64, seed=3))
         data = l2_normalize(features)
-    else:
+    elif source == "random":
         data = l2_normalize(np.random.default_rng(311).normal(size=(1000, 32)))
-    q, g = data[:200], data[200:]
+    else:  # the rerank-n2k shape
+        features, _ = generate_synthetic(SynthParams(n_ids=160, per_id=12, dims=128, cluster_spread=0.14, seed=1))
+        data = l2_normalize(features)
+    nq = 320 if source == "n1920" else 200
+    q, g = data[:nq], data[nq:]
     n = len(data)
     tracemalloc.start()
     try:
@@ -199,8 +225,12 @@ def test_rerank_peak_memory_stays_near_the_distance_matrix(source):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the float32 n x n distances plus block-sized and V-sized temporaries
-    assert peak < 2 * n * n * 8, f"peak {peak / (n * n * 8):.2f} x n^2 float64"
+    # the float32 n x n distances plus block-sized and V-sized temporaries:
+    # local query expansion merges one block of rows at a time, and the
+    # Jaccard term and blend are a few query rows in size (2.48, 2.43 and
+    # 1.84 x n^2 float32 with whole-V merges and 256-row Jaccard blocks)
+    bound = 1.6 if source == "n1920" else 2.0
+    assert peak < bound * n * n * 4, f"peak {peak / (n * n * 4):.2f} x n^2 float32"
 
 
 def test_rerank_peak_memory_with_few_queries_stays_below_n_squared_float64():
@@ -397,6 +427,28 @@ def test_ensemble_out_gets_the_same_result(normalize):
     # a later input as out works the same way
     own = c.copy()
     assert np.array_equal(ensemble_distances([a, b, own], normalize, out=own), expected)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_ensemble_of_opened_files_equals_the_loaded_arrays(tmp_path, normalize):
+    rng = np.random.default_rng(66)
+    ng = 70
+    chunk = chunk_rows(ng)
+    for nq in (1, chunk - 1, chunk, chunk + 1):
+        paths = [tmp_path / f"{nq}_{i}.dmat" for i in range(3)]
+        for path, scale in zip(paths, (1.0, 3.0, 0.5)):
+            save_distances(rng.random((nq, ng), dtype=np.float32) * scale, path)
+        loaded = [load_distances(p) for p in paths]
+        opened = [open_distances(p) for p in paths]
+        expected = ensemble_distances(loaded, normalize)
+        assert np.array_equal(ensemble_distances(opened, normalize), expected), nq
+        # as the pipeline calls it: its own matrix first and as out
+        own = loaded[0].copy()
+        assert ensemble_distances([own, *opened[1:]], normalize, out=own) is own
+        assert np.array_equal(own, expected), nq
+        # one file listed twice
+        twice = ensemble_distances([loaded[1], loaded[1]], normalize)
+        assert np.array_equal(ensemble_distances([opened[1], opened[1]], normalize), twice), nq
 
 
 def test_ensemble_out_must_be_a_writable_float32_array_of_the_shape(tmp_path):

@@ -10,9 +10,11 @@ from reidkit import (
     IoError,
     MetaTable,
     SampleMeta,
+    ensemble_distances,
     load_distances,
     load_features,
     load_meta,
+    open_distances,
     save_distances,
     save_features,
     save_meta,
@@ -78,6 +80,55 @@ def test_loads_keep_one_copy_of_the_file(tmp_path, save, load):
     # the file's bytes, viewed as the matrix; validation reads bounds only
     assert peak <= 1.05 * size, f"peak {peak / size:.2f} x the file"
     assert np.array_equal(back, m)
+
+
+def test_open_distances_holds_one_chunk_and_reads_rows_on_demand(tmp_path):
+    m = np.random.default_rng(15).random((1000, 5000), dtype=np.float32)
+    save_distances(m, tmp_path / "big.dmat")
+    size = (tmp_path / "big.dmat").stat().st_size
+    tracemalloc.start()
+    try:
+        f = open_distances(tmp_path / "big.dmat")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the min and max are taken one chunk_rows block at a time
+    assert peak <= 0.05 * size, f"peak {peak / size:.2f} x the file"
+    assert f.shape == m.shape and f.bounds == (m.min(), m.max())
+    for rows in (slice(0, 1), slice(3, 9), slice(994, None), slice(None), slice(7, 7)):
+        assert np.array_equal(f[rows], m[rows])
+
+
+@pytest.mark.parametrize("change", ["truncate", "nan", "larger"])
+def test_a_distance_file_changed_after_opening_raises_when_read(tmp_path, change):
+    m = np.random.default_rng(16).random((40, 30), dtype=np.float32)
+    path = tmp_path / "d.dmat"
+    save_distances(m, path)
+    f = open_distances(path)
+    blob = bytearray(path.read_bytes())
+    if change == "truncate":
+        path.write_bytes(bytes(blob[:-4]))
+        error = FormatError
+    elif change == "nan":
+        at = 12 + 4 * 35 * 30  # row 35, column 0
+        blob[at:at + 4] = struct.pack("<f", np.nan)
+        path.write_bytes(bytes(blob))
+        error = DataError
+    else:
+        save_distances(m * 1.5, path)
+        error = DataError
+    for normalize in (False, True):
+        with pytest.raises(error, match="d.dmat"):
+            ensemble_distances([f], normalize)
+
+
+def test_open_distances_fails_as_load_distances_on_io_errors(tmp_path):
+    for path in (tmp_path / "missing.dmat", tmp_path):
+        with pytest.raises(IoError) as loaded:
+            load_distances(path)
+        with pytest.raises(IoError) as opened:
+            open_distances(path)
+        assert str(opened.value) == str(loaded.value)
 
 
 def test_bad_magic_rejected(tmp_path):
