@@ -6,6 +6,10 @@ respect to the embeddings.  Everything is computed in float64 with a fixed
 summation order, so values are reproducible and finite-difference checks
 are meaningful.
 
+The triplet loss (via ``batch_hard``), the circle loss and its gradient walk
+anchors one ``geometry.row_blocks`` block at a time, so no n x n array is made;
+the circle sums carry a running max across blocks (Milakov and Gimelshein).
+
 Tie-breaking is deterministic throughout: when several positives (or
 negatives) attain the batch-hard extremum, the lowest index wins, and the
 same subgradient convention applies to the hinge at zero (inactive).
@@ -28,8 +32,8 @@ class TripletParams:
     margin: float = 0.4
 
     def __post_init__(self):
-        if not (self.margin >= 0.0):
-            raise ConfigError(f"margin must be >= 0, got {self.margin}")
+        if not (0.0 <= self.margin < np.inf):
+            raise ConfigError(f"margin must be >= 0 and finite, got {self.margin}")
 
 
 @dataclass(frozen=True)
@@ -40,8 +44,8 @@ class CircleParams:
     def __post_init__(self):
         if not (0.0 < self.m < 1.0):
             raise ConfigError(f"relaxation factor m must be in (0, 1), got {self.m}")
-        if not (self.gamma > 0.0):
-            raise ConfigError(f"scale gamma must be positive, got {self.gamma}")
+        if not (0.0 < self.gamma < np.inf):
+            raise ConfigError(f"scale gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,8 @@ class CombinedParams:
     circle: CircleParams = field(default_factory=CircleParams)
 
     def __post_init__(self):
+        if not all(-np.inf < w < np.inf for w in (self.w_triplet, self.w_circle)):
+            raise ConfigError(f"loss weights must be finite, got {self.w_triplet}, {self.w_circle}")
         if not (self.w_triplet + self.w_circle > 0.0):
             raise ConfigError("at least one loss weight must be positive")
 
@@ -131,40 +137,40 @@ def triplet_loss_batch_hard(embeddings, labels, params: TripletParams = TripletP
     return float(per_anchor.mean()), per_anchor
 
 
-def _circle_pair_masks(labels):
-    n = labels.shape[0]
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    same = labels[:, None] == labels[None, :]
-    return upper & same, upper & ~same
-
-
-def _cosine_matrix(x):
-    """Cosine similarities plus the normalized rows and row norms.
-
-    The norms are ``np.linalg.norm(x, axis=1)`` bit for bit, taken through
-    ``squared_norms`` so that a row whose squares overflow raises DataError.
-    A zero row keeps its zero norm and normalizes to itself.
-    """
-    norms = np.sqrt(squared_norms(x))
-    y = x / np.where(norms == 0.0, 1.0, norms)[:, None]
-    return y @ y.T, y, norms
-
-
-def _circle_terms(sim, pos_mask, neg_mask, params):
-    """Log-domain pieces of the circle loss; None when a pair set is empty."""
+def _circle_blocks(y, labels, params):
+    """``(rows, sim, same, live, e)`` per anchor block of the unit rows ``y``:
+    the cosine rows ``y[rows] @ y.T``, the same-label mask, and each pair's
+    log-domain exponent ``e = gamma * [a]_+ * b`` with ``live = a > 0``, where
+    a = s + m, b = s - m for a negative pair and a = 1 + m - s, b = (1 - m) - s
+    for a positive one."""
     m, gamma = params.m, params.gamma
-    s_p = sim[pos_mask]
-    s_n = sim[neg_mask]
-    if s_p.size == 0 or s_n.size == 0:
-        return None
-    # negative pairs: gamma * [s + m]_+ * (s - m); positives mirrored
-    a = gamma * np.maximum(s_n + m, 0.0) * (s_n - m)
-    b = -gamma * np.maximum(1.0 + m - s_p, 0.0) * (s_p - (1.0 - m))
-    a_max = a.max()
-    b_max = b.max()
-    log_sum_a = a_max + np.log(np.sum(np.exp(a - a_max)))
-    log_sum_b = b_max + np.log(np.sum(np.exp(b - b_max)))
-    return a, b, log_sum_a, log_sum_b
+    for rows in row_blocks(y.shape[0]):
+        sim = y[rows] @ y.T
+        same = labels[rows, None] == labels[None, :]
+        e = np.where(same, 1.0 + m - sim, sim + m)
+        live = e > 0.0
+        # one product per pair, so only a pair's own formula can overflow
+        np.maximum(e, 0.0, out=e)
+        e *= gamma
+        e *= np.where(same, (1.0 - m) - sim, sim - m)
+        yield rows, sim, same, live, e
+
+
+def _circle_lse(y, labels, params):
+    """``(lse_neg, lse_pos)`` over pairs j > i, or None when a kind has none.
+
+    Each kind keeps a running max and a sum of exp rescaled to it, so one
+    block gives ``max + log(sum(exp(e - max)))`` exactly."""
+    top, total = [-np.inf, -np.inf], [0.0, 0.0]
+    for rows, _, same, _, e in _circle_blocks(y, labels, params):
+        upper = np.arange(e.shape[1]) > np.arange(rows.start, rows.stop)[:, None]
+        for k, kind in enumerate((upper & ~same, upper & same)):
+            terms = e[kind]
+            if terms.size:
+                new_top = max(top[k], terms.max())
+                total[k] = total[k] * np.exp(top[k] - new_top) + np.sum(np.exp(terms - new_top))
+                top[k] = new_top
+    return None if -np.inf in top else tuple(t + np.log(s) for t, s in zip(top, total))
 
 
 def circle_loss(embeddings, labels, params: CircleParams = CircleParams()):
@@ -176,13 +182,9 @@ def circle_loss(embeddings, labels, params: CircleParams = CircleParams()):
     gamma.  Batches without a positive or without a negative pair yield 0.
     """
     x, labels = _validate_batch(embeddings, labels)
-    sim, _, _ = _cosine_matrix(x)
-    pos_mask, neg_mask = _circle_pair_masks(labels)
-    terms = _circle_terms(sim, pos_mask, neg_mask, params)
-    if terms is None:
-        return 0.0
-    _, _, log_sum_a, log_sum_b = terms
-    return float(np.logaddexp(0.0, log_sum_a + log_sum_b))
+    norms = np.sqrt(squared_norms(x))
+    lse = _circle_lse(x / np.where(norms == 0.0, 1.0, norms)[:, None], labels, params)
+    return 0.0 if lse is None else float(np.logaddexp(0.0, lse[0] + lse[1]))
 
 
 def combined_loss(embeddings, labels, params: CombinedParams = CombinedParams()):
@@ -216,35 +218,31 @@ def _triplet_gradient(x, labels, params):
 
 
 def _circle_gradient(x, labels, params):
-    sim, y, norms = _cosine_matrix(x)
-    pos_mask, neg_mask = _circle_pair_masks(labels)
-    terms = _circle_terms(sim, pos_mask, neg_mask, params)
-    if terms is None:
+    norms = np.sqrt(squared_norms(x))
+    safe = np.where(norms == 0.0, 1.0, norms)
+    y = x / safe[:, None]
+    lse = _circle_lse(y, labels, params)
+    if lse is None:
         return np.zeros_like(x)
-    a, b, log_sum_a, log_sum_b = terms
-    z = log_sum_a + log_sum_b
+    lse_neg, lse_pos = lse
+    z = lse_neg + lse_pos
     if z >= 0.0:
         sigma = 1.0 / (1.0 + np.exp(-z))
     else:
         ez = np.exp(max(z, -_EXP_CLIP))
         sigma = ez / (1.0 + ez)
-    softmax_a = np.exp(a - log_sum_a)
-    softmax_b = np.exp(b - log_sum_b)
-
-    m, gamma = params.m, params.gamma
-    s_n = sim[neg_mask]
-    s_p = sim[pos_mask]
-    # d/ds of the log-domain exponents, zero past the relu kinks
-    da_ds = np.where(s_n + m > 0.0, 2.0 * gamma * s_n, 0.0)
-    db_ds = np.where(1.0 + m - s_p > 0.0, -2.0 * gamma * (1.0 - s_p), 0.0)
-
-    w = np.zeros_like(sim)
-    w[neg_mask] = sigma * softmax_a * da_ds
-    w[pos_mask] += sigma * softmax_b * db_ds
-    w = w + w.T  # symmetrize: each unordered pair pulls on both endpoints
-
-    row_ws = np.sum(w * sim, axis=1)
-    grad = (w @ y - row_ws[:, None] * y) / np.where(norms == 0.0, 1.0, norms)[:, None]
+    grad = np.empty_like(x)
+    for rows, sim, same, live, e in _circle_blocks(y, labels, params):
+        # d/ds of the log-domain exponents, zero past the relu kinks
+        de_ds = np.where(live, 2.0 * params.gamma * np.where(same, sim - 1.0, sim), 0.0)
+        at = np.arange(e.shape[0])
+        e[at, rows.start + at] = -np.inf  # a row is not its own pair
+        # each unordered pair pulls on both endpoints with the same weight
+        w = sigma * np.exp(e - np.where(same, lse_pos, lse_neg)) * de_ds
+        out = grad[rows]
+        np.matmul(w, y, out=out)
+        out -= np.sum(w * sim, axis=1)[:, None] * y[rows]
+        out /= safe[rows, None]
     grad[norms == 0.0] = 0.0  # a zero row has no direction to move along
     return grad
 

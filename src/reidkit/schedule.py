@@ -38,7 +38,7 @@ def lr_at(epoch, schedule: WarmupSchedule = WarmupSchedule()) -> float:
     epochs.  Both modes are continuous at the warmup boundary.  Endpoints
     are exact: convex-combination form, no accumulated offsets.
     """
-    if epoch < 0 or epoch > schedule.total_epochs:
+    if not (0 <= epoch <= schedule.total_epochs):
         raise ConfigError(
             f"epoch {epoch} outside [0, {schedule.total_epochs}]"
         )

@@ -204,6 +204,24 @@ def test_mine_rejects_a_negative_margin_by_name(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_non_finite_loss_params_exit_2(tmp_path, capsys):
+    features, meta = generate_synthetic(SynthParams(n_ids=4, per_id=4, dims=6, seed=7))
+    save_features(features, tmp_path / "f.fvec")
+    save_meta(meta, tmp_path / "m.csv")
+    inputs = ["--features", str(tmp_path / "f.fvec"), "--meta", str(tmp_path / "m.csv")]
+    capsys.readouterr()
+    for argv, name in (
+        (["loss-check", *inputs, "--gamma", "inf"], "gamma"),
+        (["loss-check", *inputs, "--w-triplet", "inf"], "loss weights"),
+        (["mine", *inputs, "--margin", "inf", "--out", str(tmp_path / "out.csv")], "margin"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{name} must be" in captured.err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--rerank", "--k1", "0"],
     ["--aqe", "--aqe-alpha", "-1"],

@@ -20,7 +20,7 @@ from reidkit import (
     loss_gradient,
     triplet_loss_batch_hard,
 )
-from reidkit.geometry import euclidean_distances64
+from reidkit.geometry import BLOCK_ROWS, euclidean_distances64
 
 
 def _random_batch(rng, n_ids=3, per_id=3, d=5, scale=1.0):
@@ -223,3 +223,90 @@ def test_triplet_loss_and_gradient_peak_memory_is_quadratic_not_cubic():
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"{fn.__name__} peaked at {peak / 2**20:.1f} MiB"
+
+
+def _blocked_batch(rng, n):
+    """n random 4-d rows whose largest exponent of each kind lies in the last
+    anchor block that holds pairs j > i: a near-duplicate negative pair and
+    an anti-aligned positive pair among rows n-5 .. n-2."""
+    labels = rng.integers(0, n // 8, size=n)
+    x = rng.normal(size=(n, 4))
+    labels[n - 4] = labels[n - 5]
+    x[n - 4] = -x[n - 5]
+    labels[n - 2] = labels[n - 3] + 1
+    x[n - 2] = x[n - 3] + 0.01 * rng.normal(size=4)
+    return x, labels
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_circle_over_several_anchor_blocks_matches_naive(n):
+    x, labels = _blocked_batch(np.random.default_rng(30), n)
+    assert circle_loss(x, labels) == pytest.approx(naive_circle(x, labels, 0.4, 64.0), rel=1e-9, abs=1e-9)
+
+
+def test_circle_gradient_over_two_anchor_blocks_matches_finite_differences():
+    rng = np.random.default_rng(31)
+    x, labels = _blocked_batch(rng, BLOCK_ROWS + 1)
+    # the second block's one row and row 0 are the batch's closest negatives
+    labels[BLOCK_ROWS] = labels[0] + 1
+    x[BLOCK_ROWS] = x[0] + 0.01 * rng.normal(size=4)
+    params = CombinedParams(w_triplet=0.0, w_circle=1.0)
+    picked = [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS]
+
+    def loss_of(rows):
+        z = x.copy()
+        z[picked] = rows
+        return combined_loss(z, labels, params)
+
+    grad = loss_gradient(x, labels, params)[picked]
+    fd = finite_difference_gradient(loss_of, x[picked])
+    assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("gamma, rows, labels", [
+    # the anti-aligned positive pair's exponent is about 3.84 gamma and each
+    # negative's about -0.16 gamma: exp of one less the negatives' log-sum overflows
+    (256.0, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 1, 0.1], [0, 0, 1]], [0, 0, 1, 1, 1]),
+    # a zero row's self-pair exponent is 0.84 gamma and the positives' log-sum
+    # about -0.16 gamma: exp of their difference overflows past gamma ~ 709
+    (1024.0, [[1, 0, 0], [1, 0.1, 0], [0, 1, 0], [0, 1, 0.1], [0, 0, 0]], [0, 0, 1, 1, 2]),
+], ids=["anti-aligned-positive", "zero-row-self-pair"])
+def test_circle_at_large_gamma_weighs_each_pair_by_its_own_kind(gamma, rows, labels):
+    x = np.array(rows, dtype=np.float64)
+    x[:4] += 0.05 * np.random.default_rng(32).normal(size=(4, 3))
+    params = CombinedParams(w_triplet=0.0, circle=CircleParams(gamma=gamma))
+    assert 0.0 < combined_loss(x, labels, params) < np.inf
+    grad = loss_gradient(x, labels, params)
+    assert np.all(np.isfinite(grad))
+
+    def loss_of(first):
+        z = x.copy()
+        z[:4] = first
+        return combined_loss(z, labels, params)
+
+    fd = finite_difference_gradient(loss_of, x[:4])
+    assert np.abs(grad[:4] - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-6
+
+
+def test_circle_loss_at_the_largest_gamma_forms_only_each_pairs_own_exponent():
+    # the positive formula of these anti-aligned negatives, 3.84 gamma, is past float64
+    x = np.array([[1.0, 0.0], [1.0, 0.1], [-1.0, 0.0], [-1.0, -0.1]])
+    assert circle_loss(x, np.array([0, 0, 1, 1]), CircleParams(gamma=1e308)) == 0.0
+
+
+@pytest.mark.parametrize("fn", [circle_loss, loss_gradient])
+def test_circle_loss_and_gradient_peak_memory_grows_linearly_in_n(fn):
+    # a block of float64 cosine rows is BLOCK_ROWS * n * 8 bytes; the walk holds
+    # about 7 (loss) or 11 (gradient) of them, where n x n arrays would grow 4x
+    peaks = {}
+    for n in (1024, 2048):
+        x, labels = _random_batch(np.random.default_rng(33), n_ids=n // 4, per_id=4, d=128)
+        tracemalloc.start()
+        try:
+            fn(x, labels)
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = BLOCK_ROWS * n * 8
+        assert peaks[n] < 12 * block, f"{fn.__name__} peaked at {peaks[n] / block:.1f} blocks, n={n}"
+    assert peaks[2048] <= 2.3 * peaks[1024]

@@ -28,17 +28,22 @@ from reidkit import (
 )
 
 NAN = math.nan
+INF = math.inf
 
 # One invalid value per check of every params class.
 INVALID = [
     (TripletParams, dict(margin=-1.0)),
     (TripletParams, dict(margin=NAN)),
+    (TripletParams, dict(margin=INF)),
     (CircleParams, dict(m=0.0)),
     (CircleParams, dict(m=1.5)),
     (CircleParams, dict(gamma=-1.0)),
     (CircleParams, dict(gamma=NAN)),
+    (CircleParams, dict(gamma=INF)),
     (CombinedParams, dict(w_triplet=0.0, w_circle=0.0)),
     (CombinedParams, dict(w_triplet=-1.0, w_circle=0.5)),
+    (CombinedParams, dict(w_triplet=INF)),
+    (CombinedParams, dict(w_triplet=-1.0, w_circle=INF)),
     (GemParams, dict(p=0.5)),
     (GemParams, dict(p=NAN)),
     (SynthParams, dict(n_ids=1)),

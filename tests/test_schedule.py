@@ -54,11 +54,11 @@ def test_none_decay_holds_peak():
 
 
 def test_epoch_bounds_enforced():
-    s = WarmupSchedule()
-    with pytest.raises(ConfigError):
-        lr_at(-1, s)
-    with pytest.raises(ConfigError):
-        lr_at(181, s)
+    for decay in ("none", "cosine"):
+        s = WarmupSchedule(decay=decay)
+        for epoch in (-1, 181, float("nan")):
+            with pytest.raises(ConfigError):
+                lr_at(epoch, s)
 
 
 def test_schedule_validation():
